@@ -12,7 +12,6 @@ from .characterize import Characterizer
 from .aggregate import SuiteSizeSummary, summarize_by_suite_and_size
 from .compare import ComparisonRow, SuiteComparison, compare_suites
 from .features import FEATURE_NAMES, feature_matrix, feature_vector
-from .cost import CostLine, CostProjection, project_costs
 from .sizes import SizeSimilarity, input_size_similarity, summarize_size_similarity
 from .subset import SubsetResult, SubsetSelector, SweepPoint
 from .validate import MetricValidation, SubsetValidation, validate_subset
@@ -20,10 +19,7 @@ from .validate import MetricValidation, SubsetValidation, validate_subset
 __all__ = [
     "Characterizer",
     "ComparisonRow",
-    "CostLine",
-    "CostProjection",
     "FEATURE_NAMES",
-    "project_costs",
     "MetricValidation",
     "PairMetrics",
     "SizeSimilarity",

@@ -97,8 +97,7 @@ class Characterizer:
                 the paper) instead of raising.
         """
         pairs = suite.pairs(size=size, suite=mini_suite)
-        if self.runner is not None:
-            self._bulk_collect([pair.profile for pair in pairs])
+        self.collect([pair.profile for pair in pairs])
         results: List[PairMetrics] = []
         for pair in pairs:
             try:
@@ -108,8 +107,14 @@ class Characterizer:
                     raise
         return results
 
-    def _bulk_collect(self, profiles: List[WorkloadProfile]) -> None:
-        """Characterize not-yet-memoized profiles through the runner."""
+    def collect(self, profiles: List[WorkloadProfile]) -> None:
+        """Characterize not-yet-memoized profiles in one runner call.
+
+        A no-op without a runner: :meth:`report` then simulates each
+        pair on demand through the session.
+        """
+        if self.runner is None:
+            return
         missing = [
             profile
             for profile in profiles

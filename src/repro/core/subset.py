@@ -98,10 +98,9 @@ class SubsetSelector:
         """PCA of the full [all-pairs x 20] characteristics matrix."""
         key = id(suite)
         if key not in self._pca_cache:
-            reports = [
-                self.characterizer.report(pair.profile)
-                for pair in suite.pairs(size=None)
-            ]
+            profiles = [pair.profile for pair in suite.pairs(size=None)]
+            self.characterizer.collect(profiles)
+            reports = [self.characterizer.report(p) for p in profiles]
             matrix, labels = feature_matrix(reports)
             pca = PCA(n_components=self.n_components)
             result = pca.fit_transform(matrix)

@@ -6,7 +6,7 @@ arbitrarily nested dataclasses, enums, containers, and scalars.  It was
 extracted from :mod:`repro.runner.cache` (which re-exports it unchanged)
 so that lower layers — :mod:`repro.obs` in particular — can hash material
 without importing the runner, keeping the import graph acyclic and the
-layer ordering enforceable by ``repro lint --project`` (rule LAY001).
+layer ordering enforceable by ``repro lint`` (rule LAY001).
 
 It must stay dependency-free: importing anything above the error layer
 from here would reintroduce exactly the cycle it exists to break.

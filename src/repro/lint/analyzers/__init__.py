@@ -8,8 +8,8 @@ and worker-boundary picklability.  Each analyzer is a class with an
 ``check(project)`` generator over a :class:`repro.lint.project.Project`.
 
 Register project-specific analyzers with :func:`register_analyzer`;
-``repro lint --project`` picks them up automatically, and ``--select``
-resolves ids from both tiers.  The machinery itself lives in
+``repro lint`` picks them up automatically, and ``--select`` resolves
+ids from both tiers.  The machinery itself lives in
 :mod:`.base` (imported by the analyzer modules); this package import
 only triggers registration.
 """

@@ -21,8 +21,8 @@ Three invariants are enforced:
   imports are exempt — a deliberately lazy import is the sanctioned way
   to break a cycle, and the finding message says which edge to defer.
 * **Examples and docs speak to the facade.**  Code under ``examples/``
-  or ``docs/`` may import only ``repro`` / ``repro.api`` (the
-  whole-program twin of the per-file API001 rule).
+  or ``docs/`` may import only ``repro`` / ``repro.api``, judged by
+  import target: ``from repro import uarch`` is a deep import too.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """PKL010 — everything crossing the worker boundary must pickle.
 
-The per-file PKL001 rule checks the *direct* signature of functions
-handed to a process pool.  That misses the failure mode that actually
-bites: a worker returns a dataclass whose *field* — two hops of type
-nesting away, defined in another module — holds a lock, an open file,
-a generator, or a class defined inside a function.  The pickle error
-then surfaces at result-collection time, attributed to the pool, far
-from the field that caused it.
+The per-file PKL001 rule checks each class on its own: every exception
+with ``__init__`` but no ``__reduce__`` and every function-local
+exception or dataclass in the tree, whether or not it reaches the pool.
+That misses the failure mode that actually bites: a worker returns a
+dataclass whose *field* — two hops of type nesting away, defined in
+another module — holds a lock, an open file, a generator, or a plain
+class defined inside a function.  The pickle error then surfaces at
+result-collection time, attributed to the pool, far from the field that
+caused it.
 
 This analyzer walks the full type closure instead:
 
@@ -20,13 +22,12 @@ This analyzer walks the full type closure instead:
 * **Closure walk** — annotations are resolved to project classes
   (per-module, through import aliases) and expanded breadth-first
   through dataclass field annotations.  Each class in the closure is
-  checked for pickling hazards:
+  checked for pickling hazards PKL001 cannot see:
 
-  - defined inside a function (pickle serializes classes by qualified
-    name; a function-local class cannot be found on import),
-  - an exception subclass overriding ``__init__`` without
-    ``__reduce__`` (``BaseException`` pickles by replaying ``args``;
-    a custom ``__init__`` signature breaks the round trip),
+  - a plain class defined inside a function (pickle serializes classes
+    by qualified name; a function-local class cannot be found on
+    import — PKL001 already reports function-local exceptions and
+    dataclasses),
   - a field annotated with an unpicklable type (``Callable``,
     generators, IO handles, locks, threads, sockets).
 
@@ -192,21 +193,14 @@ class PicklabilityAnalyzer(ProjectAnalyzer):
                 continue
             seen.add(qual)
             cls_path = record["path"]
-            if record["nested"]:
+            if record["nested"] and not (
+                record["is_dataclass"] or self._is_exception(record)
+            ):
                 yield from emit(
                     cls_path, record["line"],
                     "class %s is defined inside a function but reaches the "
                     "process-pool boundary; pickle resolves classes by "
                     "module-level qualified name" % record["qualname"],
-                )
-            if self._is_exception(record) and "__init__" in record["methods"] \
-                    and "__reduce__" not in record["methods"]:
-                yield from emit(
-                    cls_path, record["line"],
-                    "exception %s overrides __init__ without __reduce__; "
-                    "unpickling replays BaseException.args through the "
-                    "custom signature and fails across the worker boundary"
-                    % record["qualname"],
                 )
             for field in record["fields"]:
                 annotation = field["annotation"]

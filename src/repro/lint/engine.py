@@ -1,10 +1,14 @@
-"""The ``repro lint`` engine: parse, run rules, apply suppressions.
+"""The ``repro lint`` engine: parse, run rules and analyzers, apply
+suppressions.
 
 The engine is deliberately small: it parses each file once, hands the
-resulting :class:`FileContext` to every registered rule, and filters the
-collected findings through per-line ``# repro: noqa[RULE]`` suppressions.
-Rules are plain objects registered with :func:`repro.lint.rules.register`;
-nothing here knows what any individual rule checks.
+resulting :class:`FileContext` to every registered rule, summarizes the
+file for the whole-program :class:`~repro.lint.project.Project`, runs
+every registered analyzer over that project, and filters all findings
+through ``# repro: noqa[RULE]`` suppressions.  Rules and analyzers are
+plain objects registered with :func:`repro.lint.rules.register` and
+:func:`repro.lint.analyzers.register_analyzer`; nothing here knows what
+any individual check does.
 
 Determinism note: findings are reported in (path, line, column, rule)
 order and directory walks are sorted, so two runs over the same tree
@@ -219,13 +223,14 @@ def _filter_suppressed(findings: Iterable[Finding],
     return kept
 
 
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    rules: Optional[Sequence] = None,
-) -> List[Finding]:
-    """Lint one source string and return its (suppression-filtered)
-    findings, sorted by location."""
+def _check_source(
+    source: str, path: str, rules: Optional[Sequence] = None
+) -> Tuple[List[Finding], Optional[ast.Module]]:
+    """Parse one file and run the per-file rules over it.
+
+    Returns the suppression-filtered findings, sorted by location, and
+    the parsed tree (``None`` when the file does not parse).
+    """
     from .rules import active_rules
 
     try:
@@ -239,13 +244,22 @@ def lint_source(
                 rule_id=PARSE_RULE_ID,
                 message="cannot parse file: %s" % error.msg,
             )
-        ]
+        ], None
     ctx = FileContext(path, source, tree)
-    findings: List[Finding] = []
-    for rule in active_rules(rules):
-        for finding in rule.check(ctx):
-            findings.append(finding)
-    return sorted(_filter_suppressed(findings, source))
+    findings = [
+        finding for rule in active_rules(rules) for finding in rule.check(ctx)
+    ]
+    return sorted(_filter_suppressed(findings, source)), tree
+
+
+def lint_source(
+    source: str,
+    path: str = "<string>",
+    rules: Optional[Sequence] = None,
+) -> List[Finding]:
+    """Lint one source string with the per-file rules and return its
+    (suppression-filtered) findings, sorted by location."""
+    return _check_source(source, path, rules)[0]
 
 
 def iter_python_files(paths: Iterable[str]) -> List[Path]:
@@ -269,131 +283,33 @@ def iter_python_files(paths: Iterable[str]) -> List[Path]:
     return unique
 
 
-def lint_paths(
-    paths: Iterable[str],
-    rules: Optional[Sequence] = None,
-) -> List[Finding]:
-    """Lint files and directory trees; returns all findings, sorted."""
-    findings: List[Finding] = []
-    for path in iter_python_files(paths):
-        try:
-            source = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as error:
-            findings.append(
-                Finding(str(path), 1, 1, PARSE_RULE_ID,
-                        "cannot read file: %s" % error)
-            )
-            continue
-        findings.extend(lint_source(source, str(path), rules=rules))
-    return sorted(findings)
-
-
-# -- orchestration: both tiers, cache, parallelism -------------------------
-
-
 @dataclass
 class LintRun:
     """The outcome of one :func:`run_lint` invocation."""
 
     findings: List[Finding]
-    files: int
     parse_failures: int
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-
-def _analyze_one(path_str: str) -> Dict[str, object]:
-    """Full per-file analysis: hash, rule findings, module summary.
-
-    Module-level (and fed only a path string) so ``--jobs`` can ship it
-    across a process pool.  Runs the **full** rule set — selection
-    filtering happens at report time, which keeps cache entries valid
-    under every ``--select``.
-    """
-    from .project import file_hash, summarize_module
-    from .rules import active_rules
-
-    payload: Dict[str, object] = {
-        "path": path_str, "hash": None, "summary": None, "findings": [],
-    }
-    try:
-        source = Path(path_str).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as error:
-        payload["findings"] = [
-            Finding(path_str, 1, 1, PARSE_RULE_ID,
-                    "cannot read file: %s" % error).as_dict()
-        ]
-        return payload
-    payload["hash"] = file_hash(source)
-    try:
-        tree = ast.parse(source, filename=path_str)
-    except SyntaxError as error:
-        payload["findings"] = [
-            Finding(path_str, error.lineno or 1, error.offset or 1,
-                    PARSE_RULE_ID,
-                    "cannot parse file: %s" % error.msg).as_dict()
-        ]
-        return payload
-    ctx = FileContext(path_str, source, tree)
-    findings: List[Finding] = []
-    for rule in active_rules(None):
-        findings.extend(rule.check(ctx))
-    payload["findings"] = [
-        finding.as_dict()
-        for finding in sorted(_filter_suppressed(findings, source))
-    ]
-    payload["summary"] = summarize_module(path_str, source, tree)
-    return payload
-
-
-def _finding_from_dict(record: Dict[str, object]) -> Finding:
-    return Finding(
-        path=record["path"], line=record["line"], column=record["column"],
-        rule_id=record["rule"], message=record["message"],
-    )
-
-
-def _analyzer_suppressed(summary: Optional[Dict[str, object]],
-                         finding: Finding) -> bool:
-    """Honor noqa / noqa-file directives for whole-program findings."""
-    if summary is None:
-        return False
-    file_noqa = summary["noqa_file"]
-    if file_noqa is not None:  # [] encodes a bare noqa-file
-        if not file_noqa or finding.rule_id in file_noqa:
-            return True
-    line_noqa = summary["noqa_lines"].get(str(finding.line))
-    if line_noqa is not None:
-        if not line_noqa or finding.rule_id in line_noqa:
-            return True
-    return False
 
 
 def run_lint(
     paths: Iterable[str],
     select: Optional[Sequence[str]] = None,
-    project: bool = False,
-    jobs: int = 1,
-    cache=None,
 ) -> LintRun:
-    """Run the per-file tier — and optionally the whole-program tier —
-    over ``paths``.
+    """Run both tiers over ``paths``: the per-file rules on every file,
+    then the whole-program analyzers on the project the files form.
 
-    ``select`` is a sequence of rule/analyzer id strings (ids only, so
-    the selection survives a trip through a process pool); ``None``
-    means everything registered.  ``cache`` is an
-    :class:`repro.lint.cache.AnalysisCache` (or None); unchanged files
-    are skipped wholesale on warm runs.  ``jobs > 1`` fans per-file
-    analysis out over a process pool; output is byte-identical to the
-    serial run because findings are sorted after collection.
+    ``select`` is a sequence of rule/analyzer ids; ``None`` means
+    everything registered.  Parse failures are reported whatever the
+    selection.
     """
-    from . import analyzers as analyzers_mod
-    from .project import Project, file_hash
-    from .rules import rule_ids
+    from .analyzers import active_analyzers, analyzer_ids
+    from .project import Project, summarize_module
+    from .rules import active_rules, rule_ids
 
-    known_rules = set(rule_ids())
-    known_analyzers = set(analyzers_mod.analyzer_ids())
+    rules = analyzers = None
     if select is not None:
+        known_rules = set(rule_ids())
+        known_analyzers = set(analyzer_ids())
         unknown = sorted(
             set(select) - known_rules - known_analyzers - {PARSE_RULE_ID}
         )
@@ -403,84 +319,38 @@ def run_lint(
                 % (", ".join(unknown),
                    ", ".join(sorted(known_rules | known_analyzers)))
             )
+        rules = [s for s in select if s in known_rules]
+        analyzers = [s for s in select if s in known_analyzers]
 
-    files = iter_python_files(paths)
-    payloads: Dict[str, Dict[str, object]] = {}
-    pending: List[str] = []
-    hits = misses = 0
-    for path in files:
-        path_str = str(path)
-        if cache is not None:
-            try:
-                source = path.read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError):
-                pending.append(path_str)  # surface the error via analysis
-                continue
-            cached = cache.get(path_str, file_hash(source))
-            if cached is not None:
-                summary, findings = cached
-                payloads[path_str] = {
-                    "path": path_str, "hash": None,
-                    "summary": summary, "findings": findings,
-                }
-                hits += 1
-                continue
-            misses += 1
-        pending.append(path_str)
-
-    if pending:
-        if jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for payload in pool.map(_analyze_one, pending):
-                    payloads[payload["path"]] = payload
-        else:
-            for path_str in pending:
-                payloads[path_str] = _analyze_one(path_str)
-
-    if cache is not None:
-        for path_str in pending:
-            payload = payloads[path_str]
-            if payload["hash"] is not None:
-                cache.put(path_str, payload["hash"], payload["summary"],
-                          payload["findings"])
-        cache.prune(str(path) for path in files)
-        cache.save()
-
+    rule_objects = active_rules(rules)
     findings: List[Finding] = []
-    for path_str in sorted(payloads):
-        findings.extend(
-            _finding_from_dict(record)
-            for record in payloads[path_str]["findings"]
-        )
+    sources: Dict[str, str] = {}
+    summaries = []
+    # Path order fixes the project's module order, and with it which
+    # call site an analyzer message names first.
+    for path_str in sorted(str(path) for path in iter_python_files(paths)):
+        try:
+            source = Path(path_str).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as error:
+            findings.append(Finding(path_str, 1, 1, PARSE_RULE_ID,
+                                    "cannot read file: %s" % error))
+            continue
+        file_findings, tree = _check_source(source, path_str, rule_objects)
+        findings.extend(file_findings)
+        if tree is not None:
+            sources[path_str] = source
+            summaries.append(summarize_module(path_str, tree))
 
-    if project:
-        summaries = [
-            payloads[path_str]["summary"]
-            for path_str in sorted(payloads)
-            if payloads[path_str]["summary"] is not None
-        ]
-        model = Project(summaries)
-        if select is None:
-            chosen = None
-        else:
-            chosen = [s for s in select if s in known_analyzers]
-        for analyzer in analyzers_mod.active_analyzers(chosen):
-            for finding in analyzer.check(model):
-                summary = model.by_path.get(finding.path)
-                if not _analyzer_suppressed(summary, finding):
-                    findings.append(finding)
-
-    if select is not None:
-        keep = set(select) | {PARSE_RULE_ID}
-        findings = [f for f in findings if f.rule_id in keep]
+    project = Project(summaries)
+    by_path: Dict[str, List[Finding]] = {}
+    for analyzer in active_analyzers(analyzers):
+        for finding in analyzer.check(project):
+            by_path.setdefault(finding.path, []).append(finding)
+    for path_str, group in by_path.items():
+        findings.extend(_filter_suppressed(group, sources.get(path_str, "")))
 
     findings.sort()
     parse_failures = sum(
         1 for finding in findings if finding.rule_id == PARSE_RULE_ID
     )
-    return LintRun(
-        findings=findings, files=len(files), parse_failures=parse_failures,
-        cache_hits=hits, cache_misses=misses,
-    )
+    return LintRun(findings=findings, parse_failures=parse_failures)

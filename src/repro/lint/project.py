@@ -1,4 +1,4 @@
-"""The whole-program model behind ``repro lint --project``.
+"""The whole-program model behind the second tier of ``repro lint``.
 
 The per-file tier (:mod:`repro.lint.rules`) sees one AST at a time; the
 analyzers in :mod:`repro.lint.analyzers` need facts that only exist
@@ -9,15 +9,12 @@ the summaries into a :class:`Project`.
 
 Two properties shape the design:
 
-* **Summaries are JSON round-trippable.**  The incremental analysis
-  cache (:mod:`repro.lint.cache`) persists them keyed on the file's
-  content hash, so a warm ``--project`` run re-parses only files that
-  changed.  Everything an analyzer needs on every run must therefore
-  live in plain dicts/lists/strings — no AST nodes.
+* **Summaries are plain data.**  Everything an analyzer needs on every
+  run lives in JSON round-trippable dicts/lists/strings — no AST nodes —
+  so a summary can be printed, compared, and asserted on in tests.
 * **ASTs stay available, lazily.**  A few analyzers (KEY001, PKL010)
   inspect a handful of named modules in depth; :meth:`Project.ast`
-  parses those on demand without disturbing the warm path for the rest
-  of the tree.
+  parses those on demand.
 
 Seed-taint summarization
 ------------------------
@@ -30,7 +27,8 @@ For SEED010 each RNG construction site is classified intraprocedurally:
 * ``neutral`` — a pure constant expression (deterministic; whether a
   constant seed is *acceptable* is SEED001's per-file concern);
 * ``poison``  — a known-nondeterministic source (``time.time``,
-  ``os.urandom``, string ``hash()``, ...) reaches the seed;
+  ``os.urandom``, string ``hash()``, ...) reaches the seed, or there is
+  no seed argument at all (OS entropy);
 * ``params``  — the seed traces to one or more parameters of an
   enclosing function that are *not* seed-named; the site lists those
   ``(function, parameter)`` dependencies and SEED010 resolves them
@@ -43,7 +41,6 @@ what lets the cross-module resolution run entirely on summaries.
 from __future__ import annotations
 
 import ast
-import hashlib
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -98,11 +95,6 @@ def is_seed_name(name: str) -> bool:
         or base.endswith("rng")
         or base == "ss"  # numpy SeedSequence idiom
     )
-
-
-def file_hash(source: str) -> str:
-    """Content hash used by the incremental analysis cache."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 def module_name_for(path: Path) -> Tuple[str, bool]:
@@ -593,34 +585,21 @@ def _has_dataclass_decorator(node: ast.ClassDef) -> bool:
     return False
 
 
-def summarize_module(path: str, source: str, tree: ast.Module
-                     ) -> Dict[str, object]:
+def summarize_module(path: str, tree: ast.Module) -> Dict[str, object]:
     """Extract the JSON-ready :class:`ModuleSummary` facts of one file."""
-    from .engine import file_suppressions, line_suppressions
-
     module, is_package = module_name_for(Path(path))
     extractor = _ModuleExtractor(path, module, is_package, tree)
     extractor.visit(tree)
-    file_noqa = file_suppressions(source)
     return {
         "path": path,
         "module": module,
         "package": is_package,
-        "hash": file_hash(source),
         "imports": extractor.imports,
         "aliases": extractor.aliases,
         "classes": extractor.classes,
         "functions": extractor.functions,
         "rng_sites": extractor.rng_sites,
         "calls": extractor.calls,
-        "noqa_file": (
-            None if file_noqa is ... else
-            (sorted(file_noqa) if file_noqa is not None else [])
-        ),
-        "noqa_lines": {
-            str(line): (sorted(rules) if rules is not None else [])
-            for line, rules in line_suppressions(source).items()
-        },
     }
 
 

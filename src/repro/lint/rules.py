@@ -395,54 +395,13 @@ def _names_in(node: ast.AST) -> Iterable[str]:
 
 
 @register
-class FacadeImportRule(Rule):
-    """Shipped examples and documentation snippets are the package's
-    public face: a deep import (``repro.uarch.core``, ``repro.workloads.
-    generator``, ...) teaches downstream users to depend on implementation
-    modules that may move between releases.  Everything they need is
-    re-exported by the stable :mod:`repro.api` facade — import from there
-    (or the ``repro`` top level) only."""
-
-    rule_id = "API001"
-    summary = "examples/ and docs/ import only repro.api or repro top-level"
-    only_in = ("examples", "docs")
-
-    #: Modules that constitute the stable surface.
-    _ALLOWED = frozenset(("repro", "repro.api"))
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not self.applies_to(ctx):
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                if node.level:  # relative import — not a repro.* deep path
-                    continue
-                modules = [node.module or ""]
-            else:
-                continue
-            for module in modules:
-                if module in self._ALLOWED:
-                    continue
-                if module == "repro." or not (
-                    module == "repro" or module.startswith("repro.")
-                ):
-                    continue
-                yield self._finding(
-                    ctx, node,
-                    "deep import of %r; shipped examples and docs must "
-                    "import from the stable repro.api facade (or the "
-                    "repro top level)" % module,
-                )
-
-
-@register
 class HardCodedSeedRule(Rule):
-    """A public function that builds its own RNG from a hard-coded (or
-    absent) seed cannot be replayed under a different seed and silently
-    couples callers to one stream.  Thread the seed (or the Generator
-    itself) through the signature, or derive it from instance state."""
+    """A public function that builds its own RNG from a hard-coded seed
+    cannot be replayed under a different seed and silently couples
+    callers to one stream.  Thread the seed (or the Generator itself)
+    through the signature, or derive it from instance state.  A
+    constructor called with no seed at all draws OS entropy wherever it
+    sits; that is SEED010's finding, in public and private code alike."""
 
     rule_id = "SEED001"
     summary = "public Generator-constructing functions must accept seed/rng"
@@ -465,12 +424,7 @@ class HardCodedSeedRule(Rule):
                 if resolved not in _GENERATOR_CONSTRUCTORS:
                     continue
                 if not call.args and not call.keywords:
-                    yield self._finding(
-                        ctx, call,
-                        "%s() without a seed draws OS entropy; pass an "
-                        "explicit seed or Generator" % resolved,
-                    )
-                    continue
+                    continue  # no seed at all: SEED010 reports it
                 seed_args = list(call.args) + [k.value for k in call.keywords]
                 used = set()
                 for arg in seed_args:

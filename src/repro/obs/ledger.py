@@ -178,7 +178,6 @@ class RunLedger:
         self.path = Path(path) if path is not None else default_ledger_path(
             cache_dir
         )
-        self._fd: Optional[int] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "RunLedger(%r)" % str(self.path)
@@ -188,32 +187,25 @@ class RunLedger:
     def append(self, record: Dict[str, object]) -> Dict[str, object]:
         """Append one record as a single whole-line write; returns it.
 
-        The descriptor is opened ``O_APPEND`` and the line goes down in
-        one ``os.write``, so concurrent appenders interleave whole
-        records.  Raises ``OSError`` on an unwritable ledger — callers
-        on the sweep path swallow it (best-effort contract).
+        Each call opens the file ``O_APPEND``, writes the line in one
+        ``os.write`` and closes it again, so concurrent appenders
+        interleave whole records and no descriptor outlives the call.
+        Raises ``OSError`` on an unwritable ledger — callers on the
+        sweep path swallow it (best-effort contract).
         """
         line = json.dumps(record, sort_keys=True) + "\n"
-        if self._fd is None:
+        flags = os.O_WRONLY | os.O_CREAT | os.O_APPEND
+        try:
+            fd = os.open(str(self.path), flags, 0o644)
+        except FileNotFoundError:
+            # Only the first append pays for creating the directory.
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fd = os.open(
-                str(self.path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-            )
-        os.write(self._fd, line.encode("utf-8"))
+            fd = os.open(str(self.path), flags, 0o644)
+        try:
+            os.write(fd, line.encode("utf-8"))
+        finally:
+            os.close(fd)
         return record
-
-    def close(self) -> None:
-        """Release the append descriptor (idempotent)."""
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
-
-    def __enter__(self) -> "RunLedger":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False
 
     # -- reading ----------------------------------------------------------
 

@@ -230,7 +230,6 @@ def measure_obs_overhead(
         obs.disable()
         if was_enabled:
             obs.enable()
-        ledger.close()
         try:
             os.unlink(ledger_path)
         except OSError:

@@ -251,41 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true",
         help="list registered rules and analyzers, then exit",
     )
-    lint.add_argument(
-        "--project", action="store_true",
-        help="also run the whole-program tier (layering, seed taint, "
-             "cache-key completeness, picklability closure)",
-    )
-    lint.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="analyze files over N worker processes (default 1; "
-             "output is byte-identical regardless of N)",
-    )
-    lint.add_argument(
-        "--cache", metavar="PATH", default=None,
-        help="incremental analysis cache file; unchanged files are "
-             "skipped on warm runs",
-    )
-    lint.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help="suppress findings fingerprinted in this baseline file "
-             "(known debt); anything new still fails",
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite --baseline from the current findings "
-             "(the ratchet: stale entries are dropped, reasons kept)",
-    )
-    lint.add_argument(
-        "--bench-cache", action="store_true",
-        help="measure cold-vs-warm analysis-cache speedup and append "
-             "it to the run ledger as a bench record",
-    )
-    lint.add_argument(
-        "--ledger", metavar="PATH", default=None,
-        help="ledger file for --bench-cache records "
-             "(default: the standard run ledger)",
-    )
 
     bench_diff = subparsers.add_parser(
         "bench-diff",
@@ -479,15 +444,7 @@ def _cmd_lint(args) -> int:
     from pathlib import Path
 
     from ..errors import LintError
-    from ..lint import (
-        PARSE_RULE_ID,
-        AnalysisCache,
-        Baseline,
-        active_rules,
-        all_analyzers,
-        render,
-        run_lint,
-    )
+    from ..lint import active_rules, all_analyzers, render, run_lint
 
     if args.list_rules:
         for rule in active_rules():
@@ -496,51 +453,17 @@ def _cmd_lint(args) -> int:
             print("%s  [project]  %s"
                   % (analyzer.analyzer_id, analyzer.summary))
         return 0
-    if args.bench_cache:
-        return _cmd_lint_bench(args)
     selected = None
     if args.select:
         selected = [
             rule.strip() for rule in args.select.split(",") if rule.strip()
         ]
     try:
-        if args.update_baseline and not args.baseline:
-            raise LintError("--update-baseline requires --baseline FILE")
-        if args.jobs < 1:
-            raise LintError("--jobs must be >= 1")
-        cache = AnalysisCache(Path(args.cache)) if args.cache else None
-        run = run_lint(
-            args.paths, select=selected, project=args.project,
-            jobs=args.jobs, cache=cache,
-        )
-        findings = run.findings
-        if args.baseline:
-            baseline = Baseline.load(Path(args.baseline))
-            # Parse failures are never baselineable debt.
-            parse = [f for f in findings if f.rule_id == PARSE_RULE_ID]
-            rest = [f for f in findings if f.rule_id != PARSE_RULE_ID]
-            if args.update_baseline:
-                baseline.updated_from(rest).save(Path(args.baseline))
-                print("baseline %s updated: %d finding%s accepted"
-                      % (args.baseline, len(rest),
-                         "" if len(rest) == 1 else "s"), file=sys.stderr)
-                findings = sorted(parse)
-            else:
-                new, suppressed, stale = baseline.filter(rest)
-                findings = sorted(new + parse)
-                if suppressed:
-                    print("baseline: %d known finding%s suppressed"
-                          % (suppressed, "" if suppressed == 1 else "s"),
-                          file=sys.stderr)
-                if stale:
-                    print("baseline: %d stale entr%s (fixed debt) — run "
-                          "--update-baseline to ratchet"
-                          % (len(stale), "y" if len(stale) == 1 else "ies"),
-                          file=sys.stderr)
+        run = run_lint(args.paths, select=selected)
     except LintError as error:
         print("lint error: %s" % error, file=sys.stderr)
         return 2
-    report = render(findings, args.format)
+    report = render(run.findings, args.format)
     if args.output:
         Path(args.output).write_text(report + "\n", encoding="utf-8")
         print("wrote %s report to %s" % (args.format, args.output),
@@ -549,57 +472,7 @@ def _cmd_lint(args) -> int:
         print(report)
     if run.parse_failures:
         return 2
-    return 1 if findings else 0
-
-
-def _cmd_lint_bench(args) -> int:
-    """Cold-vs-warm analysis-cache benchmark, ledger-recorded."""
-    import json
-    import tempfile
-    import time as _time
-    from pathlib import Path
-
-    from ..lint import AnalysisCache, run_lint
-    from ..obs.ledger import RunLedger, build_bench_record
-
-    with tempfile.TemporaryDirectory(prefix="repro-lint-bench") as tmp:
-        cache_path = Path(tmp) / "lint-cache.json"
-        started = _time.perf_counter()
-        cold = run_lint(
-            args.paths, project=args.project,
-            cache=AnalysisCache(cache_path),
-        )
-        cold_seconds = _time.perf_counter() - started
-        started = _time.perf_counter()
-        warm = run_lint(
-            args.paths, project=args.project,
-            cache=AnalysisCache(cache_path),
-        )
-        warm_seconds = _time.perf_counter() - started
-    speedup = cold_seconds / warm_seconds if warm_seconds > 0 else float("inf")
-    document = {
-        "bench": "lint-cache",
-        "paths": list(args.paths),
-        "project_tier": bool(args.project),
-        "files": cold.files,
-        "cold_seconds": round(cold_seconds, 6),
-        "warm_seconds": round(warm_seconds, 6),
-        "warm_cache_hits": warm.cache_hits,
-        "warm_cache_misses": warm.cache_misses,
-        "speedup": round(speedup, 2),
-        "findings": len(cold.findings),
-    }
-    ledger = RunLedger(path=args.ledger)
-    try:
-        ledger.append(build_bench_record(document))
-        print("ledger: bench record appended to %s" % ledger.path,
-              file=sys.stderr)
-    except OSError as error:  # best-effort, like the sweep path
-        print("ledger: could not append (%s)" % error, file=sys.stderr)
-    finally:
-        ledger.close()
-    print(json.dumps(document, indent=2, sort_keys=True))
-    return 0
+    return 1 if run.findings else 0
 
 
 def _cmd_bench_diff(args) -> int:
@@ -644,7 +517,6 @@ def _cmd_bench_diff(args) -> int:
             ledger.append(build_bench_record(current))
         except OSError:
             pass
-        ledger.close()
     print(enginebench.render(current, baseline))
     if args.update:
         print("wrote %s" % enginebench.write_baseline(args.baseline, current))

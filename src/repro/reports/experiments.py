@@ -288,12 +288,14 @@ _TABLE9_PAPER = {
 
 
 def _table9(ctx: ExperimentContext) -> ExperimentResult:
-    suite = ctx.suite17
+    profiles = {
+        name: ctx.suite17.find_pair(name).profile for name in _TABLE9_PAPER
+    }
+    ctx.characterizer.collect(list(profiles.values()))
     rows = []
     measured = {}
     for pair_name, paper in _TABLE9_PAPER.items():
-        pair = suite.find_pair(pair_name)
-        m = ctx.characterizer.metrics(pair.profile)
+        m = ctx.characterizer.metrics(profiles[pair_name])
         measured[pair_name] = m
         rows.append(
             (

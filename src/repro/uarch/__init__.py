@@ -1,9 +1,9 @@
 """Microarchitecture simulation substrate.
 
 Stands in for the paper's Haswell Xeon E5-2650L v3: a set-associative
-multi-level cache hierarchy, a family of branch predictors, a TLB, a
-footprint tracker, and an interval-analysis pipeline model, all
-parameterized by :class:`repro.config.SystemConfig`.
+multi-level cache hierarchy, a family of branch predictors, a footprint
+tracker, and an interval-analysis pipeline model, all parameterized by
+:class:`repro.config.SystemConfig`.
 """
 
 from .cache import Cache, CacheStats
@@ -24,18 +24,12 @@ from .core import ENGINES, CoreResult, SimulatedCore
 from .vector import EngineMeasurement, execute_vector, unsupported_reason
 from .cycle_core import CycleResult, InOrderCore
 from .replacement import make_policy
-from .prefetch import NextLinePrefetcher, StridePrefetcher
-from .tlb import TLB, TLBStats
-from .btb import BranchTargetBuffer, FrontEnd, ReturnAddressStack
 
 __all__ = [
     "AccessResult",
     "BimodalPredictor",
     "BranchPredictor",
-    "BranchTargetBuffer",
     "Cache",
-    "FrontEnd",
-    "ReturnAddressStack",
     "CacheStats",
     "CoreResult",
     "CPIBreakdown",
@@ -50,14 +44,10 @@ __all__ = [
     "GSharePredictor",
     "HierarchyStats",
     "MemoryHierarchy",
-    "NextLinePrefetcher",
     "PipelineModel",
     "PredictorStats",
     "SimulatedCore",
     "StaticTakenPredictor",
-    "StridePrefetcher",
-    "TLB",
-    "TLBStats",
     "TournamentPredictor",
     "TwoLevelPredictor",
     "make_policy",

@@ -8,12 +8,13 @@ repository.  The project model is built purely from the fixture files,
 so the real package never interferes.
 """
 
+import ast
 import textwrap
 
 import pytest
 
-from repro.lint.engine import _analyze_one, iter_python_files
-from repro.lint.project import Project
+from repro.lint.engine import iter_python_files
+from repro.lint.project import Project, summarize_module
 
 
 @pytest.fixture
@@ -38,11 +39,9 @@ def build_tree(tmp_path):
 @pytest.fixture
 def project_of():
     def _project(root):
-        summaries = []
-        for path in iter_python_files([str(root)]):
-            payload = _analyze_one(str(path))
-            if payload["summary"] is not None:
-                summaries.append(payload["summary"])
-        return Project(summaries)
+        return Project([
+            summarize_module(str(path), ast.parse(path.read_text(encoding="utf-8")))
+            for path in iter_python_files([str(root)])
+        ])
 
     return _project

@@ -1,5 +1,10 @@
 """The four whole-program analyzers against fixture mini-projects."""
 
+from pathlib import Path
+
+import pytest
+
+from repro.lint import run_lint
 from repro.lint.analyzers.cachekey import CacheKeyAnalyzer, KeySpec
 from repro.lint.analyzers.layering import LayeringAnalyzer
 from repro.lint.analyzers.pickles import PicklabilityAnalyzer, PklSpec
@@ -54,6 +59,48 @@ class TestLayering:
         facade = [f for f in findings if "facade-only" in f.message]
         assert len(facade) == 1
         assert facade[0].path.endswith("examples/demo.py")
+
+    # Every input of the retired per-file API001 rule, with the number of
+    # deep imports it holds: the facade check must agree on each one.
+    @pytest.mark.parametrize("rel,source,deep_imports", [
+        pytest.param("examples/demo.py",
+                     "from repro.uarch.core import SimulatedCore\n", 1,
+                     id="deep-from-import"),
+        pytest.param("examples/demo.py",
+                     "import repro.workloads.generator\n", 1,
+                     id="deep-plain-import"),
+        pytest.param("docs/snippets/pca.py",
+                     "from repro.stats import PCA\n", 1,
+                     id="docs-snippet"),
+        pytest.param("examples/demo.py",
+                     "import repro\n"
+                     "import repro.api\n"
+                     "from repro import PerfSession\n"
+                     "from repro.api import SuiteRunner, cpu2017\n", 0,
+                     id="facade-and-top-level"),
+        pytest.param("examples/demo.py",
+                     "import numpy as np\n"
+                     "from dataclasses import replace\n"
+                     "from reprolib import thing\n", 0,
+                     id="non-repro-imports"),
+        pytest.param("src/repro/perf/session.py",
+                     "from repro.uarch.core import SimulatedCore\n", 0,
+                     id="library-code"),
+        pytest.param("examples/demo.py",
+                     "from repro.config import CacheConfig\n"
+                     "from repro.phases import PhaseDetector\n", 2,
+                     id="one-finding-per-import"),
+    ])
+    def test_facade_check_covers_the_former_api001_inputs(
+            self, build_tree, project_of, rel, source, deep_imports):
+        root = build_tree({rel: source})
+        findings = run(LayeringAnalyzer(), project_of(root))
+        facade = [f for f in findings if "facade-only" in f.message]
+        assert len(facade) == deep_imports
+
+    def test_shipped_examples_pass(self):
+        examples = Path(__file__).resolve().parents[2] / "examples"
+        assert run_lint([str(examples)], select=["LAY001"]).findings == []
 
     def test_clean_tree_has_no_findings(self, build_tree, project_of):
         root = build_tree({
@@ -300,8 +347,10 @@ class TestPicklability:
         assert "Inner.callback" in findings[0].message
         assert findings[0].path.endswith("repro/results.py")
 
-    def test_exception_with_init_but_no_reduce_is_flagged(self, build_tree,
-                                                          project_of):
+    def test_exception_with_init_but_no_reduce_is_flagged(self, build_tree):
+        # PKL001 checks every exception in the tree, so it owns this
+        # defect; the closure walk leaves it alone and both tiers
+        # together report it once.
         root = build_tree({
             "repro/results.py": """\
                 from dataclasses import dataclass
@@ -314,7 +363,7 @@ class TestPicklability:
                 class Result:
                     err: SweepError
             """,
-            "repro/runner.py": """\
+            "repro/runner/runner.py": """\
                 from concurrent.futures import ProcessPoolExecutor
 
                 from repro.results import Result
@@ -327,10 +376,39 @@ class TestPicklability:
                         return pool.submit(_work, 1)
             """,
         })
-        spec = PklSpec(boundary_module="repro.runner")
-        findings = run(PicklabilityAnalyzer(spec), project_of(root))
-        assert len(findings) == 1
+        findings = run_lint([str(root / "repro")]).findings
+        assert [f.rule_id for f in findings] == ["PKL001"]
         assert "__reduce__" in findings[0].message
+
+    # PKL001 reports every function-local exception or dataclass; the
+    # closure walk adds only the plain local classes PKL001 cannot see.
+    @pytest.mark.parametrize("decorator,owner", [
+        ("@dataclass", "PKL001"),
+        ("", "PKL010"),
+    ])
+    def test_local_class_reaching_the_pool_is_reported_once(
+            self, build_tree, decorator, owner):
+        root = build_tree({
+            "repro/runner/runner.py": """\
+                from concurrent.futures import ProcessPoolExecutor
+                from dataclasses import dataclass
+
+                def build():
+                    %s
+                    class Local:
+                        value: int = 0
+                    return Local
+
+                def _work(x: int) -> "Local":
+                    raise NotImplementedError
+
+                def sweep(n):
+                    with ProcessPoolExecutor(max_workers=n) as pool:
+                        return pool.submit(_work, 1)
+            """ % decorator,
+        })
+        findings = run_lint([str(root / "repro")]).findings
+        assert [f.rule_id for f in findings] == [owner]
 
     def test_clean_value_type_closure_passes(self, build_tree, project_of):
         root = build_tree({

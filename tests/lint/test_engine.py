@@ -13,11 +13,11 @@ from repro.lint import (
     Finding,
     Rule,
     get_rule,
-    lint_paths,
     lint_source,
     render,
     render_json,
     render_text,
+    run_lint,
 )
 from repro.lint import rules as rules_module
 from repro.lint.rules import register
@@ -130,17 +130,17 @@ class TestPathWalking:
         (tmp_path / "pkg" / "b.py").write_text(VIOLATION)
         (tmp_path / "pkg" / "a.py").write_text("def f(x=[]):\n    return x\n")
         (tmp_path / "pkg" / "notes.txt").write_text("not python")
-        findings = lint_paths([str(tmp_path)])
+        findings = run_lint([str(tmp_path)]).findings
         assert [Path(f.path).name for f in findings] == ["a.py", "b.py"]
 
     def test_missing_path_raises(self, tmp_path):
         with pytest.raises(LintError, match="no such file"):
-            lint_paths([str(tmp_path / "nope")])
+            run_lint([str(tmp_path / "nope")])
 
     def test_duplicate_arguments_deduplicate(self, tmp_path):
         target = tmp_path / "x.py"
         target.write_text(VIOLATION)
-        findings = lint_paths([str(target), str(target)])
+        findings = run_lint([str(target), str(target)]).findings
         assert len(findings) == 1
 
 
@@ -210,5 +210,5 @@ class TestCLI:
 class TestSelfCheck:
     def test_repro_source_tree_is_lint_clean(self):
         src_root = Path(repro.__file__).parent
-        findings = lint_paths([str(src_root)])
+        findings = run_lint([str(src_root)]).findings
         assert findings == [], "\n" + render_text(findings)

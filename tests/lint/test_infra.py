@@ -1,20 +1,10 @@
-"""Lint infrastructure: cache, baseline ratchet, SARIF, CLI semantics."""
+"""Lint infrastructure: one report per defect, SARIF, noqa-file, CLI
+semantics."""
 
 import json
 from pathlib import Path
 
-import pytest
-
-from repro.errors import LintError
-from repro.lint import (
-    AnalysisCache,
-    Baseline,
-    Finding,
-    fingerprint,
-    render_sarif,
-    run_lint,
-)
-from repro.lint.cache import CACHE_VERSION
+from repro.lint import Finding, render_sarif, run_lint
 from repro.lint.engine import file_suppressions, line_suppressions
 from repro.reports.cli import main
 
@@ -23,123 +13,60 @@ RNG_SOURCE = "import numpy as np\nx = np.random.rand(4)\n"
 GOLDEN_SARIF = Path(__file__).parent / "golden_lint.sarif"
 
 
-class TestAnalysisCache:
-    def test_second_run_is_all_hits_and_identical(self, build_tree,
-                                                  tmp_path):
-        build_tree({"repro/app.py": RNG_SOURCE})
-        cache_file = tmp_path / "cache.json"
-        cold = run_lint([str(tmp_path / "repro")], project=True,
-                        cache=AnalysisCache(cache_file))
-        warm = run_lint([str(tmp_path / "repro")], project=True,
-                        cache=AnalysisCache(cache_file))
-        assert warm.cache_misses == 0
-        assert warm.cache_hits == warm.files == cold.files
-        assert warm.findings == cold.findings
-
-    def test_changed_file_misses_and_reanalyzes(self, build_tree, tmp_path):
-        build_tree({"repro/app.py": RNG_SOURCE})
-        cache_file = tmp_path / "cache.json"
-        run_lint([str(tmp_path / "repro")], cache=AnalysisCache(cache_file))
-        (tmp_path / "repro" / "app.py").write_text("x = 1\n")
-        warm = run_lint([str(tmp_path / "repro")],
-                        cache=AnalysisCache(cache_file))
-        assert warm.cache_misses == 1
-        assert all(f.rule_id != "RNG001" for f in warm.findings)
-
-    def test_cache_is_selection_independent(self, build_tree, tmp_path):
-        build_tree({"repro/app.py": RNG_SOURCE})
-        cache_file = tmp_path / "cache.json"
-        # Prime under a selection that has no findings for this file...
-        narrow = run_lint([str(tmp_path / "repro")], select=["MUT001"],
-                          cache=AnalysisCache(cache_file))
-        assert narrow.findings == []
-        # ...then a warm full run must still surface the RNG001 finding.
-        full = run_lint([str(tmp_path / "repro")],
-                        cache=AnalysisCache(cache_file))
-        assert full.cache_misses == 0
-        assert any(f.rule_id == "RNG001" for f in full.findings)
-
-    def test_version_mismatch_discards_the_cache(self, tmp_path):
-        cache_file = tmp_path / "cache.json"
-        cache_file.write_text(json.dumps({
-            "version": CACHE_VERSION + 1,
-            "entries": {"x.py": {"hash": "h", "summary": None,
-                                 "findings": []}},
-        }))
-        cache = AnalysisCache(cache_file)
-        assert cache.get("x.py", "h") is None
-
-    def test_corrupt_cache_file_starts_cold(self, tmp_path):
-        cache_file = tmp_path / "cache.json"
-        cache_file.write_text("not json{")
-        cache = AnalysisCache(cache_file)
-        assert cache.get("x.py", "h") is None
-        cache.put("x.py", "h", None, [])
-        cache.save()
-        assert json.loads(cache_file.read_text())["version"] == CACHE_VERSION
+#: Four defects in three files, each owned by exactly one check: two
+#: deep imports in an example (LAY001), an unseeded generator in a public
+#: function (SEED010), and an exception with ``__init__`` but no
+#: ``__reduce__`` that reaches the process pool (PKL001).
+FOUR_DEFECTS = {
+    "examples/demo.py": """\
+        from repro.uarch.core import SimulatedCore
+        import repro.workloads.generator
+    """,
+    "repro/gen.py": """\
+        import numpy as np
 
 
-class TestJobs:
-    def test_parallel_run_is_byte_identical(self, build_tree, tmp_path):
-        build_tree({
-            "repro/a.py": RNG_SOURCE,
-            "repro/b.py": "def f(x=[]):\n    return x\n",
-            "repro/c.py": "x = 1\n",
-        })
-        serial = run_lint([str(tmp_path / "repro")], project=True, jobs=1)
-        parallel = run_lint([str(tmp_path / "repro")], project=True, jobs=3)
-        assert serial.findings == parallel.findings
+        def fresh():
+            return np.random.default_rng()
+    """,
+    "repro/runner/runner.py": """\
+        from concurrent.futures import ProcessPoolExecutor
+        from dataclasses import dataclass
 
 
-class TestBaseline:
-    def finding(self, message="m", path="p.py", rule="RNG001", line=3):
-        return Finding(path=path, line=line, column=1, rule_id=rule,
-                       message=message)
+        class SweepError(Exception):
+            def __init__(self, pair, detail):
+                super().__init__(pair + detail)
 
-    def test_fingerprint_ignores_the_line_number(self):
-        a = self.finding(line=3)
-        b = self.finding(line=99)
-        assert fingerprint(a) == fingerprint(b)
-        assert fingerprint(a) != fingerprint(self.finding(message="other"))
 
-    def test_filter_splits_known_new_and_stale(self):
-        known = self.finding("known")
-        gone = self.finding("fixed long ago")
-        baseline = Baseline({
-            fingerprint(known): {"path": "p.py", "rule": "RNG001",
-                                 "message": "known"},
-            fingerprint(gone): {"path": "p.py", "rule": "RNG001",
-                                "message": "fixed long ago"},
-        })
-        new_finding = self.finding("brand new")
-        new, suppressed, stale = baseline.filter([known, new_finding])
-        assert new == [new_finding]
-        assert suppressed == 1
-        assert stale == [fingerprint(gone)]
+        @dataclass
+        class Result:
+            err: SweepError
 
-    def test_update_ratchets_and_preserves_reasons(self, tmp_path):
-        kept = self.finding("kept")
-        baseline = Baseline({
-            fingerprint(kept): {"path": "p.py", "rule": "RNG001",
-                                "message": "kept",
-                                "reason": "deliberate seam"},
-            "dead0000dead0000": {"path": "old.py", "rule": "RNG001",
-                                 "message": "gone"},
-        })
-        updated = baseline.updated_from([kept])
-        assert list(updated.entries) == [fingerprint(kept)]
-        assert updated.entries[fingerprint(kept)]["reason"] \
-            == "deliberate seam"
-        target = tmp_path / "base.json"
-        updated.save(target)
-        assert Baseline.load(target).entries == updated.entries
 
-    def test_missing_baseline_is_empty_and_garbage_raises(self, tmp_path):
-        assert Baseline.load(tmp_path / "none.json").entries == {}
-        bad = tmp_path / "bad.json"
-        bad.write_text("{]")
-        with pytest.raises(LintError):
-            Baseline.load(bad)
+        def _work(x: int) -> Result:
+            raise NotImplementedError
+
+
+        def sweep(n):
+            with ProcessPoolExecutor(max_workers=n) as pool:
+                return pool.submit(_work, 1)
+    """,
+}
+
+
+class TestOneReportPerDefect:
+    def test_each_defect_is_reported_once(self, build_tree):
+        root = build_tree(FOUR_DEFECTS)
+        run = run_lint([str(root / "examples"), str(root / "repro")])
+        assert [
+            (Path(f.path).name, f.line, f.rule_id) for f in run.findings
+        ] == [
+            ("demo.py", 1, "LAY001"),
+            ("demo.py", 2, "LAY001"),
+            ("gen.py", 5, "SEED010"),
+            ("runner.py", 5, "PKL001"),
+        ]
 
 
 class TestSarif:
@@ -201,7 +128,7 @@ class TestNoqaFile:
                 "# repro: noqa-file[LAY001]\nimport repro.runner\n",
             "repro/runner/api.py": "x = 1\n",
         })
-        run = run_lint([str(root / "repro")], project=True)
+        run = run_lint([str(root / "repro")])
         assert all(f.rule_id != "LAY001" for f in run.findings)
 
 
@@ -228,34 +155,12 @@ class TestExitCodes:
         assert main(["lint", "--select", "NOPE999", str(target)]) == 2
         assert "lint error" in capsys.readouterr().err
 
-    def test_update_baseline_requires_baseline(self, tmp_path, capsys):
-        target = tmp_path / "ok.py"
-        target.write_text("x = 1\n")
-        assert main(["lint", "--update-baseline", str(target)]) == 2
-
-    def test_baseline_gate_suppresses_known_debt(self, tmp_path, capsys):
-        target = tmp_path / "bad.py"
-        target.write_text(RNG_SOURCE)
-        baseline = tmp_path / "base.json"
-        assert main(["lint", "--baseline", str(baseline),
-                     "--update-baseline", str(target)]) == 0
-        capsys.readouterr()
-        # Same debt is now accepted; the gate passes.
-        assert main(["lint", "--baseline", str(baseline),
-                     str(target)]) == 0
-        assert "known finding" in capsys.readouterr().err
-        # New debt (a different finding) still fails.
-        target.write_text(RNG_SOURCE + "def f(x=[]):\n    return x\n")
-        assert main(["lint", "--baseline", str(baseline),
-                     str(target)]) == 1
-
-    def test_project_flag_runs_the_second_tier(self, build_tree, tmp_path,
-                                               capsys):
+    def test_second_tier_always_runs(self, build_tree, tmp_path, capsys):
         build_tree({
             "repro/uarch/core.py": "import repro.runner\n",
             "repro/runner/api.py": "x = 1\n",
         })
-        assert main(["lint", "--project", str(tmp_path / "repro")]) == 1
+        assert main(["lint", str(tmp_path / "repro")]) == 1
         assert "LAY001" in capsys.readouterr().out
 
     def test_sarif_output_file(self, tmp_path, capsys):

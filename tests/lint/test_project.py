@@ -161,8 +161,7 @@ class TestSummaries:
         source = path.read_text()
         import ast as ast_mod
 
-        summary = summarize_module(str(path), source,
-                                   ast_mod.parse(source))
+        summary = summarize_module(str(path), ast_mod.parse(source))
         assert summary == json.loads(json.dumps(summary))
         assert summary["rng_sites"][0]["status"] == "seeded"
 

@@ -82,7 +82,6 @@ class TestAppendRead:
         ledger = RunLedger(path=tmp_path / "l.jsonl")
         first = ledger.append(synthetic_record("a" * 12))
         ledger.append(synthetic_record("b" * 12, time_s=200.0))
-        ledger.close()
         records = RunLedger(path=tmp_path / "l.jsonl").records()
         assert [r["run_id"] for r in records] == ["a" * 12, "b" * 12]
         assert records[0] == first
@@ -96,16 +95,19 @@ class TestAppendRead:
         assert ledger.last(kind=KIND_BENCH)["bench"] == {
             "median_speedup": 12.0
         }
-        ledger.close()
 
     def test_missing_file_reads_empty(self, tmp_path):
         assert RunLedger(path=tmp_path / "nope.jsonl").records() == []
 
-    def test_context_manager_closes(self, tmp_path):
-        with RunLedger(path=tmp_path / "l.jsonl") as ledger:
-            ledger.append(synthetic_record())
-            assert ledger._fd is not None
-        assert ledger._fd is None
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd to count descriptors")
+    def test_appends_leave_no_descriptor_open(self, tmp_path):
+        path = tmp_path / "not-yet-created" / "l.jsonl"
+        before = len(os.listdir("/proc/self/fd"))
+        for run_id in ("a" * 12, "b" * 12, "c" * 12):
+            RunLedger(path=path).append(synthetic_record(run_id))
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert len(RunLedger(path=path).records()) == 3
 
 
 class TestRobustness:
@@ -114,7 +116,6 @@ class TestRobustness:
         ledger = RunLedger(path=path)
         ledger.append(synthetic_record("a" * 12))
         ledger.append(synthetic_record("b" * 12))
-        ledger.close()
         # Simulate a writer killed mid-record: a truncated trailing line.
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"schema": 1, "kind": "run", "run_id": "trunc')
@@ -147,7 +148,6 @@ class TestRobustness:
             "    ledger.append({'schema': 1, 'kind': 'run',\n"
             "                   'tag': sys.argv[2], 'i': i,\n"
             "                   'pad': 'x' * 256})\n"
-            "ledger.close()\n"
         )
         procs = [
             subprocess.Popen(

@@ -330,7 +330,6 @@ class TestObsLedgerCli:
         doctored["pairs"][pair]["inst_retired.any"] *= 1.5
         doctored["run_id"] = "deadbeef0000"
         ledger.append(doctored)
-        ledger.close()
         code = main(["obs", "check", "--ledger", str(populated_ledger)])
         assert code == 1
         out = capsys.readouterr().out

@@ -5,10 +5,12 @@ import pytest
 from repro.errors import ExperimentError
 from repro.reports.experiments import (
     EXPERIMENT_IDS,
+    ExperimentContext,
     ExperimentResult,
     list_experiments,
     run_experiment,
 )
+from repro.runner import SuiteRunner
 
 
 class TestRegistry:
@@ -76,3 +78,15 @@ class TestSpecificContents:
         first = run_experiment("table10", ctx)
         second = run_experiment("table10", ctx)
         assert first.data["rate"] is second.data["rate"]
+
+
+class TestRunnerBackedContext:
+    @pytest.mark.parametrize("exp_id,pairs", [("fig8", 194), ("table9", 3)])
+    def test_pairs_are_collected_through_the_runner(self, tmp_path, exp_id,
+                                                    pairs):
+        # Each pair must reach the runner (and so its cache), not be
+        # simulated behind its back by the characterizer's own session.
+        runner = SuiteRunner(sample_ops=2_000, workers=1,
+                             cache_dir=tmp_path / "cache")
+        run_experiment(exp_id, ExperimentContext(runner=runner))
+        assert runner.total_cache_hits + runner.total_cache_misses == pairs

@@ -38,9 +38,7 @@ class TestTopLevel:
 @pytest.mark.parametrize("module,names", [
     ("repro.uarch", ["Cache", "MemoryHierarchy", "SimulatedCore",
                      "InOrderCore", "PipelineModel", "FootprintTracker",
-                     "TLB", "BranchTargetBuffer", "ReturnAddressStack",
-                     "FrontEnd", "make_predictor", "make_policy",
-                     "NextLinePrefetcher", "StridePrefetcher"]),
+                     "make_predictor", "make_policy"]),
     ("repro.stats", ["PCA", "AgglomerativeClustering", "Dendrogram",
                      "pareto_front", "knee_point", "pearson", "sse",
                      "factor_loadings", "standardize"]),
@@ -49,7 +47,7 @@ class TestTopLevel:
     ("repro.stats.rank", ["spearman_rho", "kendall_tau"]),
     ("repro.core", ["Characterizer", "SubsetSelector", "compare_suites",
                     "summarize_by_suite_and_size", "feature_matrix",
-                    "FEATURE_NAMES", "validate_subset", "project_costs",
+                    "FEATURE_NAMES", "validate_subset",
                     "input_size_similarity", "PairMetrics"]),
     ("repro.core.rank", ["DesignRanker", "candidate_configs"]),
     ("repro.phases", ["PhasedWorkload", "Schedule", "make_phases",
