@@ -143,9 +143,17 @@ class Family:
         self.help_text = help_text
         self.buckets = buckets
         self._children: Dict[LabelItems, object] = {}
+        #: The same children keyed by the label items in the order a call
+        #: passed them: a call site passes them in one order every time,
+        #: so the hot path is one lookup, with no sort.
+        self._by_call: Dict[tuple, object] = {}
 
     def labels(self, **labels: str):
         """The child for this label combination (created on first use)."""
+        call = tuple(labels.items())
+        child = self._by_call.get(call)
+        if child is not None:
+            return child
         key = _label_key(labels)
         child = self._children.get(key)
         if child is None:
@@ -156,6 +164,7 @@ class Family:
             else:
                 child = Histogram(self.buckets or DEFAULT_BUCKETS)
             self._children[key] = child
+        self._by_call[call] = child
         return child
 
     # Unlabeled convenience: family.inc() == family.labels().inc() etc.
@@ -185,10 +194,11 @@ class MetricsRegistry:
 
     def _family(self, name: str, kind: str, help_text: str,
                 buckets: Optional[Tuple[float, ...]] = None) -> Family:
-        if not _NAME_RE.match(name):
-            raise MetricsError("invalid metric name %r" % name)
         family = self._families.get(name)
         if family is None:
+            # Only names that pass here ever become families.
+            if not _NAME_RE.match(name):
+                raise MetricsError("invalid metric name %r" % name)
             family = Family(name, kind, help_text, buckets)
             self._families[name] = family
         elif family.kind != kind:

@@ -190,7 +190,7 @@ class Tracer:
             span_id=self._next_id,
             parent_id=parent.span_id if parent else None,
             depth=len(self._stack),
-            attrs=dict(attrs),
+            attrs=attrs,
         )
         self._next_id += 1
         self._stack.append(handle)
@@ -214,7 +214,7 @@ class Tracer:
             wall_s=wall_s,
             cpu_s=cpu_s,
             status="ok",
-            attrs=dict(attrs),
+            attrs=attrs,
             t0_s=t0_s,
             pid=self.pid,
         )

@@ -16,9 +16,11 @@ generated traces:
    of a *fitting* region hits and every access of a *thrashing* region
    misses — so per-level counters reduce to one ``bincount`` over
    ``(region, is_store)`` codes.  :func:`unsupported_reason` verifies the
-   preconditions (policy family, write-allocate, cyclic sweep order,
-   set-exclusive geometry, fit/thrash occupancy) per config and per
-   trace; anything violating them falls back to the scalar engine.
+   preconditions: the policy family and write-allocate per config, the
+   cyclic sweep order per trace (one O(n) pass, no sort), and the
+   set-exclusive geometry and fit/thrash occupancy once per config and
+   region line sets.  Anything violating them falls back to the scalar
+   engine.
 
 2. **Predictor table indices are precomputable.**  Every predictor
    family trains unconditionally on the outcome stream, so histories
@@ -26,8 +28,9 @@ generated traces:
    ``taken``, never on predictions.  Given the index stream, each 2-bit
    saturating counter is a 4-state automaton whose per-access transition
    is known up front; the exact state *before* each access is recovered
-   with a segmented prefix scan of transition-function compositions over
-   the index-sorted stream (O(n log n), bit-exact).
+   with a prefix scan of transition-function compositions over the
+   index-sorted stream (O(n log n), bit-exact), which skips the steps
+   that move nothing and stops as soon as every prefix has converged.
 
 The parity guarantee — identical integer counters, identical derived
 floats — is enforced by the test suite over every predictor family and
@@ -39,7 +42,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -116,44 +119,29 @@ def _config_reason(config: SystemConfig) -> Optional[str]:
     return None
 
 
-def analyze_trace(config: SystemConfig, trace: SyntheticTrace):
-    """Resolve each region's analytic hit level, or explain why we can't.
+def _sweep_lines(accesses: np.ndarray) -> Optional[np.ndarray]:
+    """The sorted line set ``accesses`` sweeps cyclically, else None.
 
-    Returns ``(reason, hit_levels)`` where exactly one side is None.
-    ``hit_levels`` maps region id -> the hierarchy level serving every one
-    of its post-priming accesses (1=L1, 2=L2, 3=L3, 4=memory).
-
-    A region *fits* a level when every cache set it touches holds at most
-    ``ways`` of its lines — after priming it then hits there forever.  It
-    *thrashes* a level when its whole (primed, cyclically swept) line set
-    shares one set with more lines than ways — then every access misses
-    and falls through.  Anything in between (or any cross-region set
-    sharing, which priming could turn into evictions) is unsupported.
+    ``accesses`` is a cyclic sweep exactly when it equals
+    ``unique(accesses)[arange(n) % L]``: it strictly increases up to its
+    first non-increase at index ``p`` (``p = n`` if there is none), and
+    from there on repeats itself with period ``p``.  Then its first ``p``
+    entries are the line set.  One O(n) pass, no sort.
     """
-    kind = trace.kind
-    mem_idx = np.flatnonzero((kind == KIND_LOAD) | (kind == KIND_STORE))
+    n = int(accesses.shape[0])
+    drops = np.flatnonzero(accesses[1:] <= accesses[:-1])
+    period = int(drops[0]) + 1 if drops.size else n
+    if not np.array_equal(accesses[period:], accesses[:n - period]):
+        return None
+    return accesses[:period]
+
+
+def _region_levels(config: SystemConfig, region_lines):
+    """Prove each region's hit level from its line set (see
+    :func:`analyze_trace`); the same ``(reason, hit_levels)`` contract,
+    with ``hit_levels`` read-only."""
     hit_levels = np.full(_N_REGIONS, len(config.cache_levels()) + 1,
                          dtype=np.int64)
-    if mem_idx.size == 0:
-        return None, hit_levels
-    addrs = trace.addr[mem_idx]
-    regions = trace.region[mem_idx]
-    if int(addrs.min()) < 0:
-        return "memory op with a sentinel address", None
-    if int(regions.max()) >= _N_REGIONS:
-        return "memory op with an unknown region id", None
-
-    region_lines = []
-    for region in range(_N_REGIONS):
-        accesses = addrs[regions == region]
-        lines = np.unique(accesses)
-        if accesses.size and not np.array_equal(
-            accesses, lines[np.arange(accesses.size) % lines.size]
-        ):
-            return ("region %d is not a cyclic sweep of its line set"
-                    % region), None
-        region_lines.append(lines)
-
     for level_index, level in enumerate(config.cache_levels()):
         offset_bits = level.line_size.bit_length() - 1
         set_mask = level.num_sets - 1
@@ -183,7 +171,67 @@ def analyze_trace(config: SystemConfig, trace: SyntheticTrace):
                     % (level.name, region)
                 ), None
             # else: single over-subscribed set -> all-miss, falls through.
+    hit_levels.flags.writeable = False
     return None, hit_levels
+
+
+@lru_cache(maxsize=256)
+def _layout_levels(config: SystemConfig, layout: Tuple[Tuple[int, ...], ...]):
+    """:func:`_region_levels` memoized per config and region line sets."""
+    return _region_levels(
+        config, [np.asarray(lines, dtype=np.int64) for lines in layout]
+    )
+
+
+def analyze_trace(config: SystemConfig, trace: SyntheticTrace):
+    """Resolve each region's analytic hit level, or explain why we can't.
+
+    Returns ``(reason, hit_levels)`` where exactly one side is None.
+    ``hit_levels`` (read-only) maps region id -> the hierarchy level
+    serving every one of its post-priming accesses (1=L1, 2=L2, 3=L3,
+    4=memory).
+
+    A region *fits* a level when every cache set it touches holds at most
+    ``ways`` of its lines — after priming it then hits there forever.  It
+    *thrashes* a level when its whole (primed, cyclically swept) line set
+    shares one set with more lines than ways — then every access misses
+    and falls through.  Anything in between (or any cross-region set
+    sharing, which priming could turn into evictions) is unsupported.
+
+    The sweep order is checked per trace, since a trace built or cut
+    outside :meth:`TraceGenerator.generate` (a phase trace, a slice) need
+    not sweep its regions cyclically.  The fit/thrash proof depends only
+    on the config and the region line sets, so it is memoized on them.
+    Generator layouts hold at most ``2 * max(ways) + 2`` lines per
+    region; larger line sets are proved without the memo, which keeps
+    its entries small.
+    """
+    kind = trace.kind
+    mem_idx = np.flatnonzero((kind == KIND_LOAD) | (kind == KIND_STORE))
+    addrs = trace.addr[mem_idx]
+    regions = trace.region[mem_idx]
+    if mem_idx.size:
+        if int(addrs.min()) < 0:
+            return "memory op with a sentinel address", None
+        if int(regions.max()) >= _N_REGIONS:
+            return "memory op with an unknown region id", None
+
+    region_lines = []
+    for region in range(_N_REGIONS):
+        lines = _sweep_lines(addrs[regions == region])
+        if lines is None:
+            return ("region %d is not a cyclic sweep of its line set"
+                    % region), None
+        region_lines.append(lines)
+
+    memo_bound = 2 * max(
+        level.associativity for level in config.cache_levels()
+    ) + 2
+    if max(lines.size for lines in region_lines) > memo_bound:
+        return _region_levels(config, region_lines)
+    return _layout_levels(
+        config, tuple(tuple(lines.tolist()) for lines in region_lines)
+    )
 
 
 def unsupported_reason(
@@ -219,15 +267,18 @@ class _KeyGroups:
         self.n = n
         # Stable sort groups equal keys while preserving time order
         # inside each group — the order the automaton actually steps in.
-        # int32 keys halve the radix passes; every table index fits.
-        self.order = np.argsort(keys.astype(np.int32), kind="stable")
+        # numpy's stable sort is a radix sort only for integers of at
+        # most 16 bits (wider ones get timsort), so the keys — table
+        # indices, never negative — are cast to the narrowest unsigned
+        # dtype their range allows: every default table sorts as uint16.
+        narrow = np.min_scalar_type(int(keys.max())) if n else np.uint8
+        self.order = np.argsort(keys.astype(narrow), kind="stable")
         sorted_keys = keys[self.order]
         new_group = np.empty(n, dtype=bool)
         if n:
             new_group[0] = True
             new_group[1:] = sorted_keys[1:] != sorted_keys[:-1]
         self.new_group = new_group
-        self.segment = np.cumsum(new_group) - 1
 
     def counter_states(
         self, steps: np.ndarray, init: int = _INIT_STATE
@@ -246,44 +297,63 @@ class _KeyGroups:
 
         A saturating step is the map ``s -> min(hi, max(lo, s + a))``,
         and that family is closed under composition — composing two such
-        maps sums the shifts and narrows the clamp window.  The whole
-        group-prefix problem therefore reduces to a segmented
-        Hillis-Steele scan over three flat integer arrays (shift, low
-        clamp, high clamp): O(n log n) vector arithmetic, bit-exact.
+        maps sums the shifts and narrows the clamp window.  Each clamp
+        window is kept as the map's images of 0 and _MAX_STATE, so a map
+        is constant exactly when ``low == high``.  The whole group-prefix
+        problem therefore reduces to a Hillis-Steele scan over three flat
+        integer arrays (shift, low clamp, high clamp): O(n log n) vector
+        arithmetic, bit-exact.
+
+        Three facts cut the work:
+
+        * A zero step leaves its entry unchanged, so the scan covers only
+          the steps that move a counter, plus each group's first access.
+          Every access then sees the state after the last scanned step
+          before it: ``np.repeat`` over the gaps between scanned steps.
+        * Each group's first map applies its step to ``init``, which makes
+          it constant.  A prefix that reaches back to its group's start is
+          therefore constant too, and no composition crosses a group
+          boundary with effect: the scan needs no segment bookkeeping.
+        * A constant map stays constant, with the same value, under any
+          further composition; only its shift, which nothing reads any
+          more, changes.  So every prefix is extended unconditionally, and
+          the scan stops once every prefix is constant.
         """
-        n = self.n
-        if n == 0:
-            return np.empty(0, dtype=np.int32)
-        segment = self.segment
-        shift = steps[self.order].astype(np.int32)
-        low = np.zeros(n, dtype=np.int32)
-        high = np.full(n, _MAX_STATE, dtype=np.int32)
+        sorted_steps = steps[self.order]
+        scanned = np.flatnonzero((sorted_steps != 0) | self.new_group)
+        shift = sorted_steps[scanned].astype(np.int32)
+        low = np.clip(shift, 0, _MAX_STATE)
+        high = np.clip(shift + _MAX_STATE, 0, _MAX_STATE)
+        first = self.new_group[scanned]
+        low[first] = high[first] = np.clip(init + shift[first], 0, _MAX_STATE)
 
         step = 1
-        while step < n:
-            same = segment[step:] == segment[:-step]
-            if not np.any(same):
-                # Segments are contiguous: no pair at this distance in
-                # one segment means none at any larger distance either.
-                break
+        # Prefixes ending before `step` already reach position 0.
+        while step < scanned.size and np.any(low[step:] != high[step:]):
             # Compose prefix[i] (later window, g) after prefix[i-step]
             # (earlier window, f): clamp_g(clamp_f(s + a_f) + a_g).
-            shift_f, low_f, high_f = shift[:-step], low[:-step], high[:-step]
             shift_g, low_g, high_g = shift[step:], low[step:], high[step:]
-            shift_c = shift_f + shift_g
-            low_c = np.minimum(high_g, np.maximum(low_g, low_f + shift_g))
-            high_c = np.minimum(high_g, np.maximum(low_g, high_f + shift_g))
-            shift[step:] = np.where(same, shift_c, shift_g)
-            low[step:] = np.where(same, low_c, low_g)
-            high[step:] = np.where(same, high_c, high_g)
+            shift_c = shift[:-step] + shift_g
+            low_c = np.minimum(
+                high_g, np.maximum(low_g, low[:-step] + shift_g)
+            )
+            high_c = np.minimum(
+                high_g, np.maximum(low_g, high[:-step] + shift_g)
+            )
+            shift[step:] = shift_c
+            low[step:] = low_c
+            high[step:] = high_c
             step *= 2
 
-        state_after = np.minimum(high, np.maximum(low, init + shift))
-        state_before = np.empty(n, dtype=np.int32)
-        state_before[1:] = state_after[:-1]
+        # Every prefix is now constant: `low` is the state after each
+        # scanned step, and holds until the next one.
+        state_before = np.empty(self.n, dtype=np.int32)
+        state_before[1:] = np.repeat(
+            low, np.diff(scanned, append=self.n - 1)
+        )
         state_before[self.new_group] = init
 
-        out = np.empty(n, dtype=np.int32)
+        out = np.empty(self.n, dtype=np.int32)
         out[self.order] = state_before
         return out
 
@@ -336,29 +406,22 @@ def _two_level_indices(
     sites: np.ndarray, taken: np.ndarray, site_mask: int, history_mask: int
 ) -> np.ndarray:
     """Exact two-level pattern-table indices (per-site local history)."""
-    n = int(sites.shape[0])
-    slots = sites & site_mask
-    order = np.argsort(slots, kind="stable")
-    sorted_slots = slots[order]
-    bits = taken[order].astype(np.int64)
+    groups = _KeyGroups(sites & site_mask)
+    bits = taken[groups.order].astype(np.int64)
+    segment = np.cumsum(groups.new_group)
 
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = sorted_slots[1:] != sorted_slots[:-1]
-    segment = np.cumsum(new_group) - 1
-
-    history = np.zeros(n, dtype=np.int64)
+    history = np.zeros(groups.n, dtype=np.int64)
     history_bits = int(history_mask).bit_length()
     for age in range(1, history_bits + 1):
-        if age >= n + 1:
+        if age >= groups.n + 1:
             break
         same = segment[age:] == segment[:-age]
         shifted = bits[:-age] << (age - 1)
         history[age:][same] |= shifted[same]
     history &= history_mask
 
-    out = np.empty(n, dtype=np.int64)
-    out[order] = history
+    out = np.empty(groups.n, dtype=np.int64)
+    out[groups.order] = history
     return out
 
 
@@ -398,10 +461,9 @@ def _conditional_predictions(
         )
         bimodal_correct = bimodal == taken
         gshare_correct = gshare == taken
-        # Chooser: 2-bit counter per site, trained only on disagreement.
-        steps = np.zeros(sites.shape[0], dtype=np.int32)
-        steps[gshare_correct & ~bimodal_correct] = 1
-        steps[bimodal_correct & ~gshare_correct] = -1
+        # Chooser: 2-bit counter per site, trained only on disagreement:
+        # +1 when only gshare was right, -1 when only bimodal was.
+        steps = gshare_correct.astype(np.int32) - bimodal_correct
         chooser = site_groups.counter_states(steps)
         return np.where(chooser >= 2, gshare, bimodal)
     raise SimulationError(
@@ -481,9 +543,13 @@ def execute_vector(
 
     # ---- conditional branches: grouped automaton evaluation -------------
     branch_started = time.perf_counter() if obs.enabled() else 0.0
-    cond_mask = (kind == KIND_BRANCH) & (trace.btype == BR_CONDITIONAL)
-    sites = trace.site[cond_mask].astype(np.int64)
-    taken = np.ascontiguousarray(trace.taken[cond_mask])
+    # Index once and take: boolean indexing with this scattered mask is
+    # several times slower than flatnonzero plus two integer takes.
+    cond_idx = np.flatnonzero(
+        (kind == KIND_BRANCH) & (trace.btype == BR_CONDITIONAL)
+    )
+    sites = trace.site[cond_idx].astype(np.int64)
+    taken = trace.taken[cond_idx]
     n_cond = int(sites.shape[0])
     cond_warmup = min(
         n_cond // 2, max(int(n_cond * warmup_fraction), 2048)

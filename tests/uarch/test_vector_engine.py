@@ -5,22 +5,29 @@ nothing: every ``CoreResult`` field — integer counters bit-for-bit,
 derived floats bit-for-bit (both engines share one composition path) —
 must equal the scalar op-loop's.  These tests pin that guarantee per
 predictor family, per replacement policy, per warmup window, at the
-session/report level, and over randomized profiles (hypothesis).
+session/report level, and over randomized profiles and cache geometries
+(hypothesis).  The engine's two kernels, the cyclic-sweep check and the
+grouped counter scan, are also checked against their definitions.
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import strategies as st
 
 from repro.config import CacheConfig, SystemConfig, haswell_e5_2650l_v3
 from repro.errors import ConfigError, SimulationError
 from repro.perf.session import PerfSession
+from repro.phases.generator import PhasedTraceGenerator, slice_trace
+from repro.phases.workload import PhasedWorkload, Schedule, make_phases
 from repro.uarch.branch import make_predictor
 from repro.uarch.core import ENGINES, SimulatedCore
 from repro.uarch import vector
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.profile import InputSize
+from repro.workloads.spec2017 import cpu2017
 
 from tests.perf.test_validate import workload_profiles
 
@@ -139,6 +146,27 @@ class TestFallback:
             core.run(mcf_trace, engine="simd")
         assert set(ENGINES) == {"scalar", "vector", "auto"}
 
+    @pytest.mark.parametrize("cut", ["phased", "slice"])
+    def test_phase_traces_stay_on_scalar(self, haswell, mcf_ref, cut):
+        # Concatenated phase segments and a slice of them restart or cut
+        # each region's sweep mid-cycle: only the op loop replays them.
+        workload = PhasedWorkload(
+            "mcf-phased",
+            make_phases(mcf_ref, ["compute", "memory", "branchy"]),
+            Schedule.round_robin(3, 6000, 6),
+        )
+        trace = PhasedTraceGenerator(haswell).generate(workload).trace
+        if cut == "slice":
+            trace = slice_trace(trace, 1000, 13000)
+        core = SimulatedCore(haswell)
+        assert core.resolve_engine(trace) == "scalar"
+        with pytest.raises(SimulationError, match="vector engine unsupported"):
+            core.run(trace, engine="vector")
+        assert_results_equal(
+            core.run(trace, engine="scalar"),
+            core.run(trace, engine="auto"),
+        )
+
     def test_unsupported_reason_is_cheap_and_stable(self, haswell, mcf_trace):
         assert vector.unsupported_reason(haswell, mcf_trace) is None
         config = policy_config("random")
@@ -207,3 +235,149 @@ def test_core_parity_over_random_profiles(profile):
         assert_results_equal(scalar, core.run(trace, engine="vector"))
     else:
         assert_results_equal(scalar, core.run(trace, engine="auto"))
+
+
+PREDICTORS = ("static", "bimodal", "gshare", "two_level", "tournament")
+
+
+@st.composite
+def geometries(draw):
+    """Valid hierarchies: power-of-two set counts growing strictly from L1
+    to L3, one replacement policy throughout, and any predictor family."""
+    policy = draw(st.sampled_from(["lru", "fifo", "plru"]))
+    # Tree-PLRU needs a perfect binary tree of ways.
+    ways = (st.sampled_from([1, 2, 4, 8, 16]) if policy == "plru"
+            else st.integers(1, 16))
+    l1_bits = draw(st.integers(5, 7))
+    l2_bits = draw(st.integers(l1_bits + 1, 10))
+    l3_bits = draw(st.integers(l2_bits + 1, 13))
+
+    def level(name, set_bits, **latencies):
+        associativity = draw(ways)
+        return CacheConfig(name, (1 << set_bits) * associativity * 64,
+                           associativity, replacement=policy, **latencies)
+
+    return SystemConfig(
+        l1d=level("L1D", l1_bits),
+        l2=level("L2", l2_bits, hit_latency=12, miss_penalty=24),
+        l3=level("L3", l3_bits, hit_latency=36, miss_penalty=174),
+        branch_predictor=draw(st.sampled_from(PREDICTORS)),
+    )
+
+
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(config=geometries(), profile=workload_profiles())
+@example(config=policy_config("lru").with_predictor("gshare"),
+         profile=cpu2017().get("505.mcf_r").profile(InputSize.REF))
+@example(config=policy_config("fifo").with_predictor("two_level"),
+         profile=cpu2017().get("525.x264_r").profile(InputSize.REF))
+@example(config=policy_config("plru").with_predictor("bimodal"),
+         profile=cpu2017().get("519.lbm_r").profile(InputSize.REF))
+def test_core_parity_over_random_geometries(config, profile):
+    """Property: the geometry proof, memoized per config, never lets the
+    vector engine disagree with the op loop (the examples run vector)."""
+    trace = TraceGenerator(config).generate(profile, n_ops=6_000)
+    core = SimulatedCore(config)
+    event("engine: %s" % core.resolve_engine(trace))
+    assert_results_equal(
+        core.run(trace, engine="scalar"), core.run(trace, engine="auto")
+    )
+
+
+# ---------------------------------------------------------------------------
+# The kernels against their definitions
+# ---------------------------------------------------------------------------
+
+def unique_sweep_lines(stream):
+    """The definition the sweep check implements: ``stream`` is a cyclic
+    sweep of its line set when it equals ``unique(stream)[arange(n) % L]``."""
+    lines = np.unique(stream)
+    if stream.size and not np.array_equal(
+        stream, lines[np.arange(stream.size) % lines.size]
+    ):
+        return None
+    return lines
+
+
+@st.composite
+def sweep_streams(draw):
+    """Full and truncated sweeps (empty and one-line ones included), then
+    perhaps rotated, with two entries swapped, or with one repeated."""
+    lines = sorted(draw(st.sets(st.integers(0, 1 << 40), min_size=1,
+                                max_size=10)))
+    length = draw(st.integers(0, 6 * len(lines)))
+    stream = [lines[index % len(lines)] for index in range(length)]
+    edit = draw(st.sampled_from(["none", "rotate", "swap", "repeat"]))
+    if stream and edit == "rotate":
+        cut = draw(st.integers(0, len(stream) - 1))
+        stream = stream[cut:] + stream[:cut]
+    elif stream and edit == "swap":
+        i = draw(st.integers(0, len(stream) - 1))
+        j = draw(st.integers(0, len(stream) - 1))
+        stream[i], stream[j] = stream[j], stream[i]
+    elif stream and edit == "repeat":
+        i = draw(st.integers(0, len(stream) - 1))
+        stream.insert(i, stream[i])
+    return stream
+
+
+@settings(max_examples=400, deadline=None)
+@given(stream=st.one_of(
+    sweep_streams(), st.lists(st.integers(0, 4), max_size=24)
+))
+# Two lines swapped in the third period: comparing only the first
+# period against the second would accept it.
+@example(stream=[1, 2, 3, 1, 2, 3, 1, 3, 2, 1, 2, 3])
+@example(stream=[])
+@example(stream=[7])
+def test_sweep_check_matches_the_unique_definition(stream):
+    stream = np.asarray(stream, dtype=np.int64)
+    expected = unique_sweep_lines(stream)
+    lines = vector._sweep_lines(stream)
+    if expected is None:
+        assert lines is None
+    else:
+        assert lines is not None and lines.tolist() == expected.tolist()
+
+
+def replay_counters(keys, steps, init):
+    """Sequential replay of a table of 2-bit saturating counters: each
+    access's state before its step, in stream order."""
+    table = {}
+    before = []
+    for key, step in zip(keys, steps):
+        state = table.get(key, init)
+        before.append(state)
+        table[key] = min(3, max(0, state + step))
+    return before
+
+
+@st.composite
+def counter_streams(draw):
+    """Table indices below and above 2**16 (so every key dtype is
+    exercised) and steps in {-1, 0, +1}, from none to mostly zero."""
+    pool = draw(st.lists(
+        st.one_of(st.integers(0, 255), st.integers(256, 65_535),
+                  st.integers(65_536, 1 << 22)),
+        min_size=1, max_size=6, unique=True,
+    ))
+    length = draw(st.integers(0, 400))
+    keys = draw(st.lists(st.sampled_from(pool), min_size=length,
+                         max_size=length))
+    zeros = draw(st.integers(0, 18))
+    steps = draw(st.lists(st.sampled_from([-1, 1] + [0] * zeros),
+                          min_size=length, max_size=length))
+    return keys, steps, draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream=counter_streams())
+def test_counter_scan_matches_a_sequential_replay(stream):
+    keys, steps, init = stream
+    groups = vector._KeyGroups(np.asarray(keys, dtype=np.int64))
+    states = groups.counter_states(np.asarray(steps, dtype=np.int32), init)
+    assert states.tolist() == replay_counters(keys, steps, init)
