@@ -159,6 +159,13 @@ class SubsetSelector:
 
     def sweep(self, suite: BenchmarkSuite, group: str) -> List[SweepPoint]:
         """SSE and subset time for every candidate cluster count (Fig. 10)."""
+        return self._fit_and_sweep(suite, group)[3]
+
+    def _fit_and_sweep(self, suite: BenchmarkSuite, group: str) -> Tuple[
+        List[PairMetrics], np.ndarray, ClusteringResult, List[SweepPoint]
+    ]:
+        """One group's metrics, run times, clustering and sweep, each
+        derived once for :meth:`sweep` and :meth:`select` alike."""
         scores, metrics = self.group_scores(suite, group)
         clustering = AgglomerativeClustering(linkage=self.linkage).fit(scores)
         times = np.asarray([m.time_seconds for m in metrics])
@@ -175,7 +182,7 @@ class SubsetSelector:
                     subset_time_seconds=subset_time,
                 )
             )
-        return points
+        return metrics, times, clustering, points
 
     @staticmethod
     def choose_clusters(
@@ -231,10 +238,7 @@ class SubsetSelector:
             n_clusters: Fix the cluster count; None applies ``method``.
             method: Cluster-count rule (see :meth:`choose_clusters`).
         """
-        scores, metrics = self.group_scores(suite, group)
-        clustering = AgglomerativeClustering(linkage=self.linkage).fit(scores)
-        times = np.asarray([m.time_seconds for m in metrics])
-        sweep = self.sweep(suite, group)
+        metrics, times, clustering, sweep = self._fit_and_sweep(suite, group)
         if n_clusters is None:
             n_clusters = self.choose_clusters(sweep, method=method)
         labels = clustering.labels(n_clusters)

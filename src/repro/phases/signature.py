@@ -20,7 +20,6 @@ from ..workloads.generator import (
     KIND_BRANCH,
     KIND_LOAD,
     KIND_STORE,
-    NO_REGION,
     SyntheticTrace,
 )
 
@@ -90,8 +89,5 @@ def interval_signatures(
         conditionals / np.maximum(branches, 1),
         taken / np.maximum(branches, 1),
     ])
-    # Guard: ops outside any region (non-mem) were already excluded by the
-    # region sentinel, but make sure the sentinel never leaked in.
-    assert NO_REGION not in set(np.unique(trace.region[trace.region != NO_REGION]))
     starts = np.arange(n_intervals) * interval_ops
     return signatures, starts

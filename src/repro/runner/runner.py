@@ -653,6 +653,10 @@ class SuiteRunner:
     ) -> None:
         workers = min(self.workers, len(pending))
         obs_payloads: Dict[str, object] = {}
+        # numpy imports numpy.random on first use, which is each worker's
+        # first trace.  Loaded here, forked workers inherit it, and
+        # ``import repro.api`` still does without it.
+        import numpy.random  # noqa: F401
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,

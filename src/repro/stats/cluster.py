@@ -96,8 +96,11 @@ def sse(points: np.ndarray, labels: np.ndarray) -> float:
     The paper's clustering-quality metric (Section V-C).
     """
     points = np.asarray(points, dtype=np.float64)
+    # return_counts keeps np.unique from importing numpy.ma
+    # (docs/methodology.md §8).
+    distinct, _ = np.unique(labels, return_counts=True)
     total = 0.0
-    for label in np.unique(labels):
+    for label in distinct:
         members = points[labels == label]
         centroid = members.mean(axis=0)
         total += float(np.sum((members - centroid) ** 2))

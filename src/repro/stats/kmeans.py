@@ -130,7 +130,9 @@ def silhouette_score(points: np.ndarray, labels: np.ndarray) -> float:
     """Mean silhouette coefficient over all points (in [-1, 1])."""
     points = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels)
-    unique = np.unique(labels)
+    # return_counts keeps np.unique from importing numpy.ma
+    # (docs/methodology.md §8).
+    unique, _ = np.unique(labels, return_counts=True)
     if len(unique) < 2:
         raise ClusteringError("silhouette needs at least 2 clusters")
     if len(unique) >= len(points):

@@ -262,8 +262,11 @@ class SimulatedCore:
         mem_warmup = int(len(mem_addrs) * warmup_fraction)
         # Prime every distinct line once so compulsory misses don't distort
         # the measured rates of rarely-visited regions, then clear counters.
+        # return_counts keeps np.unique from importing numpy.ma
+        # (docs/methodology.md §8).
         if len(mem_addrs):
-            hierarchy.warm_up(np.unique(trace.addr[mem_idx]))
+            distinct, _ = np.unique(trace.addr[mem_idx], return_counts=True)
+            hierarchy.warm_up(distinct)
         access = hierarchy.access
         on_mem = tracker.on_memory_op
         for position, (addr, is_store, page) in enumerate(

@@ -146,23 +146,25 @@ def _region_levels(config: SystemConfig, region_lines):
         offset_bits = level.line_size.bit_length() - 1
         set_mask = level.num_sets - 1
         ways = level.associativity
+        # return_counts keeps np.unique from importing numpy.ma
+        # (docs/methodology.md §8).
         per_region_sets = [
-            (lines >> offset_bits) & set_mask for lines in region_lines
+            np.unique((lines >> offset_bits) & set_mask, return_counts=True)
+            for lines in region_lines
         ]
         # Set-exclusivity: priming pushes every line through every level,
         # so two regions sharing a set could evict each other's lines.
-        combined = np.concatenate(
-            [np.unique(sets) for sets in per_region_sets]
+        combined = np.sort(
+            np.concatenate([distinct for distinct, _ in per_region_sets])
         )
-        if np.unique(combined).size != combined.size:
+        if np.any(combined[1:] == combined[:-1]):
             return "%s: two regions share a cache set" % level.name, None
         for region in range(_N_REGIONS):
             if hit_levels[region] <= level_index:
                 continue  # already resolved to an inner level
-            sets = per_region_sets[region]
-            if not sets.size:
+            distinct, occupancy = per_region_sets[region]
+            if not distinct.size:
                 continue
-            distinct, occupancy = np.unique(sets, return_counts=True)
             if int(occupancy.max()) <= ways:
                 hit_levels[region] = level_index + 1
             elif distinct.size != 1:
