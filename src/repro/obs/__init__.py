@@ -238,7 +238,8 @@ def profile_stage_names() -> tuple:
 # ---------------------------------------------------------------------------
 # Hot-path hooks.  Every call site is written so the disabled cost is one
 # global read + one comparison; the enabled cost is dominated by two
-# clock reads per span, bounded by the engine-overhead benchmark gate.
+# clock reads per span, bounded by the 3% tracing-overhead gate
+# (``benchmarks/bench_obs_overhead.py``).
 # ---------------------------------------------------------------------------
 
 def profile(name: str, **attrs: object):

@@ -44,9 +44,9 @@ LEDGER_SCHEMA = 1
 #: Environment variable overriding the ledger file location.
 LEDGER_ENV = "REPRO_LEDGER"
 
-#: Record kinds the ledger currently carries.
+#: The kind of record a sweep appends.  :meth:`RunLedger.runs` skips
+#: other kinds, such as the ``bench`` lines of older ledgers.
 KIND_RUN = "run"
-KIND_BENCH = "bench"
 
 
 class LedgerError(ReproError):
@@ -132,23 +132,6 @@ def build_run_record(
     return record
 
 
-def build_bench_record(
-    document: Dict[str, object], timestamp: Optional[float] = None
-) -> Dict[str, object]:
-    """Wrap one engine-benchmark measurement as a ledger record."""
-    from .. import __version__
-
-    record: Dict[str, object] = {
-        "schema": LEDGER_SCHEMA,
-        "kind": KIND_BENCH,
-        "time": float(timestamp) if timestamp is not None else time.time(),
-        "code_version": __version__,
-        "bench": document,
-    }
-    record["run_id"] = _content_hash(record)[:12]
-    return record
-
-
 def comparability_key(record: Dict[str, object]) -> tuple:
     """What must match before two run records are drift-comparable.
 
@@ -165,7 +148,7 @@ def comparability_key(record: Dict[str, object]) -> tuple:
 
 
 class RunLedger:
-    """Append-only JSONL store of run (and bench) records.
+    """Append-only JSONL store of run records.
 
     Args:
         path: Explicit ledger file.  ``None`` resolves via
@@ -250,11 +233,6 @@ class RunLedger:
     def runs(self) -> List[Dict[str, object]]:
         """Every sweep record, oldest first."""
         return self.records(kind=KIND_RUN)
-
-    def last(self, kind: Optional[str] = None) -> Optional[Dict[str, object]]:
-        """The newest record (of ``kind``, if given), or ``None``."""
-        records = self.records(kind=kind)
-        return records[-1] if records else None
 
     def resolve(self, ref: str) -> Dict[str, object]:
         """Find one *run* record by id prefix or by index.

@@ -12,7 +12,6 @@ Subcommands::
     repro trace critical-path t.jsonl   # longest dependency chain
     repro trace utilization t.jsonl     # per-worker busy/idle/stall
     repro lint src/                 # run the repo's static-analysis pass
-    repro bench-diff                # scalar-vs-vector engine benchmark
     repro obs history               # past sweeps from the run ledger
     repro obs diff -2 -1            # per-characteristic deltas, run to run
     repro obs check                 # drift + paper-fidelity gate (CI)
@@ -252,38 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="list registered rules and analyzers, then exit",
     )
 
-    bench_diff = subparsers.add_parser(
-        "bench-diff",
-        help="benchmark scalar vs vector engines against the committed "
-             "baseline (and optionally refresh it)",
-    )
-    bench_diff.add_argument(
-        "--baseline", metavar="PATH", default="BENCH_engine.json",
-        help="baseline file to compare against (default %(default)s)",
-    )
-    bench_diff.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke mode: fewer timing repeats per engine",
-    )
-    bench_diff.add_argument(
-        "--repeats", type=int, default=None,
-        help="timing repeats per engine, best-of (default 3, 2 with "
-             "--quick)",
-    )
-    bench_diff.add_argument(
-        "--update", action="store_true",
-        help="write the fresh measurement back to the baseline file",
-    )
-    bench_diff.add_argument(
-        "--ledger", metavar="PATH", default=None,
-        help="run ledger to append the measurement to (default: "
-             "$REPRO_LEDGER or <cache dir>/ledger.jsonl)",
-    )
-    bench_diff.add_argument(
-        "--no-ledger", action="store_true",
-        help="do not append to (or fall back on) the run ledger",
-    )
-
     obs_cmd = subparsers.add_parser(
         "obs",
         help="inspect the run ledger and gate on the drift watchdog",
@@ -475,68 +442,6 @@ def _cmd_lint(args) -> int:
     return 1 if run.findings else 0
 
 
-def _cmd_bench_diff(args) -> int:
-    """Engine A/B benchmark, now a thin client of the run ledger.
-
-    Every measurement is appended to the ledger as a ``bench`` record;
-    the committed baseline file stays the primary comparison point, with
-    the newest prior ledger measurement as the fallback when the file is
-    absent.
-    """
-    import os
-
-    from ..obs.ledger import KIND_BENCH, RunLedger, build_bench_record
-    from ..perf import enginebench
-
-    repeats = args.repeats
-    if repeats is None:
-        repeats = (
-            enginebench.QUICK_REPEATS if args.quick
-            else enginebench.DEFAULT_REPEATS
-        )
-    current = enginebench.measure(
-        sample_ops=args.sample_ops, repeats=repeats
-    )
-    ledger = None if args.no_ledger else RunLedger(path=args.ledger)
-    baseline = None
-    baseline_source = None
-    if os.path.exists(args.baseline):
-        baseline = enginebench.load_baseline(args.baseline)
-        baseline_source = args.baseline
-    elif ledger is not None:
-        prior = ledger.last(kind=KIND_BENCH)
-        if prior is not None:
-            baseline = prior.get("bench")
-            baseline_source = "ledger %s (bench %s)" % (
-                ledger.path, prior.get("run_id"),
-            )
-    if ledger is not None:
-        try:
-            # Recorded before any verdict: failed comparisons are history
-            # worth keeping too.  Best-effort, like every ledger write.
-            ledger.append(build_bench_record(current))
-        except OSError:
-            pass
-    print(enginebench.render(current, baseline))
-    if args.update:
-        print("wrote %s" % enginebench.write_baseline(args.baseline, current))
-        return 0
-    if baseline is None:
-        print(
-            "no baseline at %s and no prior ledger measurement "
-            "(use --update to create the file)" % args.baseline,
-            file=sys.stderr,
-        )
-        return 1
-    failures = enginebench.check(current, baseline)
-    for line in failures:
-        print("REGRESSION: %s" % line, file=sys.stderr)
-    if failures:
-        return 1
-    print("check passed against %s" % baseline_source)
-    return 0
-
-
 def _cmd_obs(args) -> int:
     import dataclasses
 
@@ -698,8 +603,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_trace(args)
         if args.command == "lint":
             return _cmd_lint(args)
-        if args.command == "bench-diff":
-            return _cmd_bench_diff(args)
         if args.command == "obs":
             return _cmd_obs(args)
     except ReproError as error:

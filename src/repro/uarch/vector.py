@@ -14,7 +14,8 @@ generated traces:
    deterministic, write-allocate replacement policy (LRU / FIFO /
    tree-PLRU) and the core's warm-up priming, every post-priming access
    of a *fitting* region hits and every access of a *thrashing* region
-   misses — so per-level counters reduce to one ``bincount`` over
+   misses (under tree-PLRU, only where a replay of its one set shows no
+   hit) — so per-level counters reduce to one ``bincount`` over
    ``(region, is_store)`` codes.  :func:`unsupported_reason` verifies the
    preconditions: the policy family and write-allocate per config, the
    cyclic sweep order per trace (one O(n) pass, no sort), and the
@@ -34,7 +35,7 @@ generated traces:
 
 The parity guarantee — identical integer counters, identical derived
 floats — is enforced by the test suite over every predictor family and
-replacement policy, and continuously by the A/B benchmark harness.
+replacement policy, and by the benchmark's scalar/vector check.
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ from ..workloads.generator import (
     SyntheticTrace,
 )
 from .branch import PredictorStats, make_predictor
-from .cache import CacheStats
+from .cache import EMPTY, CacheStats
 from .hierarchy import HierarchyStats
 from .memory import FootprintEstimate, FootprintTracker
+from .replacement import make_policy
 
 #: Replacement policies whose steady-state behavior under a primed cyclic
 #: sweep is deterministic (all-hit for fitting regions, all-miss for
@@ -136,6 +138,41 @@ def _sweep_lines(accesses: np.ndarray) -> Optional[np.ndarray]:
     return accesses[:period]
 
 
+def _plru_keeps_lines(lines, ways: int) -> bool:
+    """Whether tree-PLRU hits on a primed cyclic sweep of ``lines``, all
+    in one set of a ``ways``-way cache.  With four or more ways it can
+    (five lines in four ways do), unlike LRU and FIFO.  The set is
+    replayed as :meth:`~repro.uarch.cache.Cache.access` runs it, priming
+    included, until its tags and tree bits repeat at a sweep boundary:
+    the replay is deterministic and its state space finite, so no later
+    sweep can differ from one already seen.
+    """
+    policy = make_policy("plru")
+    meta = policy.make_set(ways)
+    slots = [EMPTY] * ways
+
+    def access(line) -> bool:
+        if line in slots:
+            policy.on_access(meta, slots.index(line))
+            return True
+        way = slots.index(EMPTY) if EMPTY in slots else policy.victim(meta)
+        slots[way] = line
+        policy.on_access(meta, way)
+        return False
+
+    for line in lines:
+        access(line)
+    seen = set()
+    while True:
+        state = (tuple(slots), tuple(meta[0]))  # tags and tree bits
+        if state in seen:
+            return False
+        seen.add(state)
+        for line in lines:
+            if access(line):
+                return True
+
+
 def _region_levels(config: SystemConfig, region_lines):
     """Prove each region's hit level from its line set (see
     :func:`analyze_trace`); the same ``(reason, hit_levels)`` contract,
@@ -172,6 +209,11 @@ def _region_levels(config: SystemConfig, region_lines):
                     "%s: region %d neither fits nor thrashes a single set"
                     % (level.name, region)
                 ), None
+            elif level.replacement == "plru" and _plru_keeps_lines(
+                (region_lines[region] >> offset_bits).tolist(), ways
+            ):
+                return ("%s: tree-PLRU keeps lines of region %d's set"
+                        % (level.name, region)), None
             # else: single over-subscribed set -> all-miss, falls through.
     hit_levels.flags.writeable = False
     return None, hit_levels
@@ -197,8 +239,10 @@ def analyze_trace(config: SystemConfig, trace: SyntheticTrace):
     ``ways`` of its lines — after priming it then hits there forever.  It
     *thrashes* a level when its whole (primed, cyclically swept) line set
     shares one set with more lines than ways — then every access misses
-    and falls through.  Anything in between (or any cross-region set
-    sharing, which priming could turn into evictions) is unsupported.
+    and falls through (at a tree-PLRU level, only if a replay of that set
+    shows no hit: :func:`_plru_keeps_lines`).  Anything in between (or
+    any cross-region set sharing, which priming could turn into
+    evictions) is unsupported.
 
     The sweep order is checked per trace, since a trace built or cut
     outside :meth:`TraceGenerator.generate` (a phase trace, a slice) need

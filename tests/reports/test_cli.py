@@ -346,41 +346,19 @@ class TestObsLedgerCli:
         assert "repro_drift_findings" in out
         assert "repro_paper_rel_error" in out
 
-
-class TestBenchDiffLedger:
-    """bench-diff as a thin ledger client."""
-
-    def test_first_run_records_then_serves_as_fallback_baseline(
-        self, tmp_path, capsys
+    def test_older_ledger_bench_lines_are_skipped(
+        self, populated_ledger, capsys
     ):
-        from repro.obs.ledger import KIND_BENCH, RunLedger
+        from repro.obs.ledger import RunLedger
+        from tests.obs.test_ledger import LEGACY_BENCH_RECORD
 
-        ledger_path = tmp_path / "ledger.jsonl"
-        argv = ["--sample-ops", "5000", "bench-diff", "--quick",
-                "--baseline", str(tmp_path / "absent.json"),
-                "--ledger", str(ledger_path)]
-        # No file baseline and an empty ledger: fails, but records.
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert "no prior ledger measurement" in captured.err
-        bench_records = RunLedger(path=ledger_path).records(kind=KIND_BENCH)
-        assert len(bench_records) == 1
-        assert "median_speedup" in bench_records[0]["bench"]
-        # Second run: the first measurement serves as the baseline.
-        assert main(argv) == 0
-        captured = capsys.readouterr()
-        assert "check passed against ledger" in captured.out
-        assert len(RunLedger(path=ledger_path).records(kind=KIND_BENCH)) == 2
-
-    def test_no_ledger_flag_opts_out(self, tmp_path, capsys):
-        ledger_path = tmp_path / "ledger.jsonl"
-        code = main(["--sample-ops", "5000", "bench-diff", "--quick",
-                     "--no-ledger",
-                     "--baseline", str(tmp_path / "absent.json"),
-                     "--ledger", str(ledger_path)])
-        assert code == 1
-        capsys.readouterr()
-        assert not ledger_path.exists()
+        RunLedger(path=populated_ledger).append(LEGACY_BENCH_RECORD)
+        flag = ["--ledger", str(populated_ledger)]
+        assert main(["obs", "history"] + flag) == 0
+        assert "2 run(s)" in capsys.readouterr().out
+        assert main(["obs", "diff", "-2", "-1"] + flag) == 0
+        assert "manifest.cache_hits" in capsys.readouterr().out
+        assert main(["obs", "check"] + flag) == 0
 
 
 class TestParser:

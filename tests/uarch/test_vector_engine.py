@@ -23,10 +23,19 @@ from repro.perf.session import PerfSession
 from repro.phases.generator import PhasedTraceGenerator, slice_trace
 from repro.phases.workload import PhasedWorkload, Schedule, make_phases
 from repro.uarch.branch import make_predictor
+from repro.uarch.cache import Cache
 from repro.uarch.core import ENGINES, SimulatedCore
 from repro.uarch import vector
 from repro.workloads.generator import TraceGenerator
-from repro.workloads.profile import InputSize
+from repro.workloads.profile import (
+    BranchBehavior,
+    BranchMix,
+    InputSize,
+    InstructionMix,
+    MemoryBehavior,
+    MiniSuite,
+    WorkloadProfile,
+)
 from repro.workloads.spec2017 import cpu2017
 
 from tests.perf.test_validate import workload_profiles
@@ -265,6 +274,56 @@ def geometries(draw):
     )
 
 
+def ablation_plru_config() -> SystemConfig:
+    """``bench_ablation_replacement.py``'s PLRU config: Table I with
+    8-way tree-PLRU L1D and L2 (the 15-way L3 stays LRU)."""
+    base = haswell_e5_2650l_v3()
+    return dataclasses.replace(
+        base,
+        l1d=dataclasses.replace(base.l1d, replacement="plru"),
+        l2=dataclasses.replace(base.l2, replacement="plru"),
+    )
+
+
+def tiny_plru_config() -> SystemConfig:
+    """1-way L1D and L2 and an 8-way L3, all tree-PLRU."""
+    def level(name, size_bytes, ways, **latencies):
+        return CacheConfig(name, size_bytes, ways, replacement="plru",
+                           **latencies)
+
+    return SystemConfig(
+        l1d=level("L1D", 2048, 1),
+        l2=level("L2", 4096, 1, hit_latency=12, miss_penalty=24),
+        l3=level("L3", 65536, 8, hit_latency=36, miss_penalty=174),
+        branch_predictor="static",
+    )
+
+
+#: A profile :func:`workload_profiles` can draw.  On
+#: :func:`tiny_plru_config` the lines of its DRAM region over-subscribe
+#: one L3 set, and tree-PLRU keeps some of them.
+HYPO_PROFILE = WorkloadProfile(
+    benchmark="999.hypo_r",
+    input_name="",
+    suite=MiniSuite.RATE_INT,
+    input_size=InputSize.TEST,
+    instructions=1e9,
+    target_ipc=1.0,
+    exec_time_seconds=1.0,
+    threads=1,
+    mix=InstructionMix(0.3125, 0.125, 0.25,
+                       BranchMix(0.2, 0.2, 0.2, 0.2, 0.2)),
+    memory=MemoryBehavior(
+        target_l1_miss_rate=0.75,
+        target_l2_miss_rate=0.0625,
+        target_l3_miss_rate=0.09375,
+        rss_bytes=1e6,
+        vsz_bytes=1e6,
+    ),
+    branches=BranchBehavior(target_mispredict_rate=0.0, taken_bias=1.0),
+)
+
+
 @settings(
     max_examples=20,
     deadline=None,
@@ -277,15 +336,64 @@ def geometries(draw):
          profile=cpu2017().get("525.x264_r").profile(InputSize.REF))
 @example(config=policy_config("plru").with_predictor("bimodal"),
          profile=cpu2017().get("519.lbm_r").profile(InputSize.REF))
+@example(config=tiny_plru_config(), profile=HYPO_PROFILE)
+@example(config=ablation_plru_config(),
+         profile=cpu2017().get("510.parest_r").profile(InputSize.REF))
 def test_core_parity_over_random_geometries(config, profile):
     """Property: the geometry proof, memoized per config, never lets the
-    vector engine disagree with the op loop (the examples run vector)."""
+    vector engine disagree with the op loop.  The first three examples
+    run vector; in the last two, tree-PLRU keeps lines of an
+    over-subscribed set, so they must fall back to scalar."""
     trace = TraceGenerator(config).generate(profile, n_ops=6_000)
     core = SimulatedCore(config)
     event("engine: %s" % core.resolve_engine(trace))
     assert_results_equal(
         core.run(trace, engine="scalar"), core.run(trace, engine="auto")
     )
+
+
+#: Sweeps the scalar replay below runs after priming.  Every case there
+#: repeats its set's state within ``ways + 1`` sweeps.
+ORACLE_SWEEPS = 40
+
+
+@pytest.mark.parametrize("ways", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("policy", ["lru", "fifo", "plru"])
+def test_thrash_proof_matches_a_one_set_replay(policy, ways):
+    """A region over-subscribing one L1D set is proved to thrash there
+    exactly when the scalar cache never hits on it after priming.  LRU
+    and FIFO never do; tree-PLRU with four or more ways keeps lines of
+    a set that holds a little more than ``ways`` of them."""
+    l1_sets = 4
+    config = SystemConfig(
+        l1d=CacheConfig("L1D", l1_sets * ways * 64, ways,
+                        replacement=policy),
+        l2=CacheConfig("L2", 256 * 8 * 64, 8, hit_latency=12,
+                       miss_penalty=24),
+        l3=CacheConfig("L3", 1024 * 16 * 64, 16, hit_latency=36,
+                       miss_penalty=174, shared=True),
+    )
+    empty = np.array([], dtype=np.int64)
+    verdicts = {}
+    for n_lines in range(ways + 1, 2 * ways + 3):
+        # Every l1_sets-th line: one L1D set, and a set of its own in L2.
+        lines = np.arange(n_lines, dtype=np.int64) * l1_sets * 64
+        cache = Cache(config.l1d)
+        for addr in lines.tolist():
+            cache.access(addr)
+        cache.reset_stats()
+        for _ in range(ORACLE_SWEEPS):
+            for addr in lines.tolist():
+                cache.access(addr)
+        reason, hit_levels = vector._region_levels(
+            config, [lines, empty, empty, empty]
+        )
+        if reason is None:
+            assert hit_levels[0] == 2  # thrashes L1D, fits L2
+        verdicts[n_lines] = (reason is None, cache.stats.hits == 0)
+    assert all(
+        accepted == never_hits for accepted, never_hits in verdicts.values()
+    ), verdicts
 
 
 # ---------------------------------------------------------------------------
