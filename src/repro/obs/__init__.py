@@ -52,11 +52,20 @@ from .ledger import (
 from .critical import (
     CriticalPathReport,
     PathSegment,
+    StageLine,
     StageShare,
+    TraceFileError,
+    TraceSummary,
     UtilizationReport,
     WorkerLine,
+    chrome_trace,
     critical_path,
-    critical_path_seconds,
+    export_chrome_trace,
+    load_spans,
+    render_table,
+    render_tree,
+    summarize,
+    summarize_spans,
     utilization,
 )
 from .metrics import (
@@ -66,24 +75,7 @@ from .metrics import (
     MetricsError,
     MetricsRegistry,
 )
-from .profiler import (
-    SpanProfiler,
-    merge_profile_data,
-    profile_digest,
-    render_collapsed,
-    render_top,
-)
-from .summarize import (
-    StageLine,
-    TraceFileError,
-    TraceSummary,
-    load_spans,
-    render_table,
-    render_tree,
-    summarize,
-    summarize_spans,
-)
-from .timeline import chrome_trace, export_chrome_trace
+from .profiler import SpanProfiler, render_collapsed, render_top
 from .trace import (
     DEFAULT_CAPACITY,
     NULL_SPAN,
@@ -127,7 +119,6 @@ __all__ = [
     "chrome_trace",
     "count",
     "critical_path",
-    "critical_path_seconds",
     "default_ledger_path",
     "disable",
     "enable",
@@ -135,12 +126,10 @@ __all__ = [
     "export_chrome_trace",
     "in_span",
     "load_spans",
-    "merge_profile_data",
     "observe",
     "paper_anchor_vector",
     "active_profiler",
     "profile",
-    "profile_digest",
     "profile_stage_names",
     "record",
     "registry",

@@ -53,6 +53,47 @@ class LedgerError(ReproError):
     """Raised for ledger misuse (bad path, unresolvable run reference)."""
 
 
+def salvage_jsonl(
+    path, label: str, noun: str, required: str
+) -> List[Dict[str, object]]:
+    """Every JSON object line of ``path`` that holds ``required``, in
+    file order.
+
+    The read half of the durability contract, shared by ledger and
+    trace files.  A line that is not valid JSON (a writer killed
+    mid-line, a partial disk, bytes that are not UTF-8) or is not a
+    ``noun`` record is skipped with a warning naming
+    ``<label> <path>:<line>``, attributed to the code that called the
+    reader wrapping this function; blank lines are ignored.  Raises
+    ``OSError`` when the file cannot be opened.
+    """
+    with open(path, "rb") as handle:
+        lines = handle.read().splitlines()
+    records: List[Dict[str, object]] = []
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            # On bytes, a line that is not UTF-8 raises
+            # UnicodeDecodeError, which is a ValueError.
+            record = json.loads(text)
+        except ValueError:
+            warnings.warn(
+                "%s %s:%d is not valid JSON; skipping the line"
+                % (label, path, lineno),
+                stacklevel=3,
+            )
+            continue
+        if not isinstance(record, dict) or required not in record:
+            warnings.warn(
+                "%s %s:%d is not a %s record; skipping the line"
+                % (label, path, lineno, noun),
+                stacklevel=3,
+            )
+            continue
+        records.append(record)
+    return records
 
 
 def default_ledger_path(cache_dir=None) -> Path:
@@ -90,21 +131,12 @@ def build_run_record(
     engine: str,
     metrics: Optional[Dict[str, object]] = None,
     timestamp: Optional[float] = None,
-    critical_path_s: Optional[float] = None,
-    profile_digest: Optional[str] = None,
 ) -> Dict[str, object]:
     """Assemble one sweep's ledger record (not yet appended).
 
     The ``run_id`` is a short content hash over the whole record
     (timestamp included), so re-running the same sweep yields distinct
     ids while the payload itself stays deterministic.
-
-    ``critical_path_s`` (the traced sweep's critical-path length) and
-    ``profile_digest`` (the span-scoped profile's shape hash) are
-    schema-compatible extras: keys absent on untraced runs and on every
-    pre-existing ledger line, ignored by :func:`comparability_key`, so
-    attribution trends ride the existing drift tooling without
-    invalidating history.
     """
     from .. import __version__
 
@@ -124,10 +156,6 @@ def build_run_record(
             for name, report in sorted(reports.items())
         },
     }
-    if critical_path_s is not None:
-        record["critical_path_s"] = float(critical_path_s)
-    if profile_digest is not None:
-        record["profile_digest"] = str(profile_digest)
     record["run_id"] = _content_hash(record)[:12]
     return record
 
@@ -196,39 +224,17 @@ class RunLedger:
         """Every well-formed record, in append order.
 
         Corrupt or truncated lines — typically a trailing half-line from
-        a killed writer — are skipped with a warning rather than raised:
-        the salvageable history is worth more than the broken tail.
+        a killed writer — are skipped with a warning rather than raised
+        (see :func:`salvage_jsonl`): the salvageable history is worth
+        more than the broken tail.  A missing ledger reads as empty.
         """
         try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                lines = handle.readlines()
+            records = salvage_jsonl(self.path, "ledger", "ledger", "schema")
         except OSError:
             return []
-        records: List[Dict[str, object]] = []
-        for lineno, line in enumerate(lines, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                record = json.loads(text)
-            except ValueError:
-                warnings.warn(
-                    "ledger %s:%d is not valid JSON; skipping the line"
-                    % (self.path, lineno),
-                    stacklevel=2,
-                )
-                continue
-            if not isinstance(record, dict) or "schema" not in record:
-                warnings.warn(
-                    "ledger %s:%d is not a ledger record; skipping the line"
-                    % (self.path, lineno),
-                    stacklevel=2,
-                )
-                continue
-            if kind is not None and record.get("kind") != kind:
-                continue
-            records.append(record)
-        return records
+        if kind is None:
+            return records
+        return [record for record in records if record.get("kind") == kind]
 
     def runs(self) -> List[Dict[str, object]]:
         """Every sweep record, oldest first."""

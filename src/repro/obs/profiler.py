@@ -11,7 +11,7 @@ profiling — pays nothing beyond one attribute check per span.
 Collected data is a plain dict of JSON types (:meth:`SpanProfiler.data`),
 so worker processes ship their profiles home through the same picklable
 result channel their spans use, and the parent folds them together with
-:func:`merge_profile_data`.  Two export formats:
+:meth:`SpanProfiler.merge`.  Two export formats:
 
 * **Collapsed stacks** (:func:`render_collapsed`): one
   ``frame;frame;frame <microseconds>`` line per observed call stack —
@@ -28,9 +28,8 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
-from ..hashing import content_hash
 from .trace import ObsError
 
 #: Profile-payload schema version.
@@ -258,34 +257,3 @@ def render_top(data: Dict[str, object], limit: int = 20) -> str:
            1e3 * total_self)
     )
     return "\n".join(lines)
-
-
-def profile_digest(data: Dict[str, object]) -> str:
-    """Short content hash over the *shape* of a profile.
-
-    Hashes the sorted stack keys and stages — not the timings — so two
-    runs through the same code paths share a digest and a code change
-    that reroutes a stage shows up as a new one.  This is the value the
-    run ledger records alongside ``critical_path_s``.
-    """
-    shape = {
-        "stages": sorted(data.get("stages") or []),
-        "stacks": sorted((data.get("stacks") or {}).keys()),
-    }
-    return content_hash(shape)[:12]
-
-
-def merge_profile_data(
-    into: Optional[Dict[str, object]], other: Dict[str, object]
-) -> Dict[str, object]:
-    """Combine two :meth:`SpanProfiler.data` payloads (pure function)."""
-    if into is None:
-        profiler = SpanProfiler(other.get("stages") or [])
-        profiler.merge(other)
-        return profiler.data()
-    profiler = SpanProfiler(
-        set(into.get("stages") or []) | set(other.get("stages") or [])
-    )
-    profiler.merge(into)
-    profiler.merge(other)
-    return profiler.data()

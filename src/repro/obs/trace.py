@@ -24,7 +24,7 @@ Design constraints, in order:
 
 Spans are emitted on *completion*: in the buffer and the JSONL file,
 children always precede their parent.  Consumers rebuild the tree from
-the ``parent`` ids (see :mod:`repro.obs.summarize`).
+the ``parent`` ids (see :mod:`repro.obs.critical`).
 """
 
 from __future__ import annotations

@@ -532,6 +532,8 @@ def _cmd_phases(args) -> int:
 
 def _cmd_trace(args) -> int:
     from ..obs import (
+        TraceFileError,
+        chrome_trace,
         critical_path,
         load_spans,
         render_table,
@@ -539,7 +541,6 @@ def _cmd_trace(args) -> int:
         summarize_spans,
         utilization,
     )
-    from ..obs.timeline import chrome_trace
 
     spans = load_spans(args.file)
     if not spans:
@@ -557,9 +558,14 @@ def _cmd_trace(args) -> int:
     if args.trace_command == "export":
         output = args.output or (args.file + ".chrome.json")
         document = chrome_trace(spans)
-        with open(output, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, sort_keys=True)
-            handle.write("\n")
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                json.dump(document, handle, sort_keys=True)
+                handle.write("\n")
+        except OSError as error:
+            raise TraceFileError(
+                "cannot write %s: %s" % (output, error)
+            ) from error
         other = document["otherData"]
         print(
             "wrote %s: %d events over %d span(s), %d worker track(s)"
@@ -585,31 +591,32 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.command in _SWEEP_COMMANDS
         and (trace_path or metrics or profile_stages)
     )
-    if obs_on:
-        obs.enable(
-            trace_path=trace_path, metrics=True,
-            profile_stages=profile_stages,
-        )
+    status = 1
     try:
+        # Inside the try: an unwritable --trace path is an ObsError.
+        if obs_on:
+            obs.enable(
+                trace_path=trace_path, metrics=True,
+                profile_stages=profile_stages,
+            )
         if args.command == "list":
-            return _cmd_list()
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "pair":
-            return _cmd_pair(args)
-        if args.command == "phases":
-            return _cmd_phases(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
-        if args.command == "lint":
-            return _cmd_lint(args)
-        if args.command == "obs":
-            return _cmd_obs(args)
+            status = _cmd_list()
+        elif args.command == "run":
+            status = _cmd_run(args)
+        elif args.command == "pair":
+            status = _cmd_pair(args)
+        elif args.command == "phases":
+            status = _cmd_phases(args)
+        elif args.command == "trace":
+            status = _cmd_trace(args)
+        elif args.command == "lint":
+            status = _cmd_lint(args)
+        elif args.command == "obs":
+            status = _cmd_obs(args)
     except ReproError as error:
         print("error: %s" % error, file=sys.stderr)
-        return 1
     finally:
-        if obs_on:
+        if obs_on and obs.enabled():
             if metrics:
                 registry = obs.registry()
                 if registry is not None:
@@ -621,15 +628,21 @@ def main(argv: Optional[List[str]] = None) -> int:
                 data = profiler.data()
                 print(render_top(data))
                 if profile_out:
-                    with open(profile_out, "w", encoding="utf-8") as handle:
-                        text = render_collapsed(data)
-                        handle.write(text + "\n" if text else "")
-                    print("wrote collapsed stacks to %s" % profile_out,
-                          file=sys.stderr)
+                    text = render_collapsed(data)
+                    try:
+                        with open(profile_out, "w", encoding="utf-8") as handle:
+                            handle.write(text + "\n" if text else "")
+                    except OSError as error:
+                        print("error: cannot write %s: %s"
+                              % (profile_out, error), file=sys.stderr)
+                        status = 1
+                    else:
+                        print("wrote collapsed stacks to %s" % profile_out,
+                              file=sys.stderr)
             if trace_path:
                 print("wrote trace to %s" % trace_path, file=sys.stderr)
             obs.disable()
-    return 0
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -440,8 +440,6 @@ class SuiteRunner:
             manifest, reports, self.config, self.sample_ops,
             self.warmup_fraction, self._session.resolved_engine,
             metrics=metrics,
-            critical_path_s=self._sweep_critical_path(),
-            profile_digest=self._sweep_profile_digest(),
         )
         try:
             self.ledger.append(record)
@@ -457,47 +455,6 @@ class SuiteRunner:
         obs.observe("ledger_write_seconds", time.perf_counter() - started,
                     help_text="wall time spent building and appending one "
                               "ledger record")
-
-    @staticmethod
-    def _sweep_critical_path() -> Optional[float]:
-        """Critical-path seconds of the newest traced sweep, if any.
-
-        Best-effort, like every ledger enrichment: ``None`` when tracing
-        is off or the ring buffer no longer holds the sweep's root.
-        """
-        tracer = obs.tracer()
-        if tracer is None:
-            return None
-        from ..obs.critical import critical_path_seconds
-
-        spans = tracer.finished()
-        roots = [s for s in spans if s.get("name") == "suite.run"]
-        if not roots:
-            return None
-        newest = max(roots, key=lambda s: int(s.get("id") or 0))
-        root_id = newest.get("id")
-        subtree_ids = {root_id}
-        # Finish-ordered records list children before parents, so one
-        # reverse pass collects the whole subtree.
-        subtree = [newest]
-        for span in reversed(spans):
-            if span.get("parent") in subtree_ids:
-                subtree_ids.add(span.get("id"))
-                subtree.append(span)
-        return critical_path_seconds(subtree)
-
-    @staticmethod
-    def _sweep_profile_digest() -> Optional[str]:
-        """Shape digest of the active span-scoped profile, if any."""
-        profiler = obs.active_profiler()
-        if profiler is None:
-            return None
-        from ..obs.profiler import profile_digest
-
-        data = profiler.data()
-        if not data.get("stacks"):
-            return None
-        return profile_digest(data)
 
     def _record_run_metrics(self, manifest: RunManifest) -> None:
         """Fold one sweep's accounting into the process metrics."""

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.obs import TraceFileError, critical_path, utilization
-from repro.obs.critical import critical_path_seconds
 
 
 def span(span_id, parent, name, t0, wall, pid=100, **attrs):
@@ -58,13 +57,6 @@ class TestCriticalPath:
         report = critical_path(TREE + [short])
         assert report.root_id == 1
 
-    def test_explicit_root_id(self):
-        report = critical_path(TREE, root_id=3)
-        assert report.root_name == "stage.b"
-        assert report.total_s == pytest.approx(7.0)
-        with pytest.raises(TraceFileError, match="no span with id"):
-            critical_path(TREE, root_id=99)
-
     def test_no_timeline_raises_and_seconds_returns_none(self):
         legacy = [
             {k: v for k, v in record.items() if k != "t0_s"}
@@ -72,9 +64,6 @@ class TestCriticalPath:
         ]
         with pytest.raises(TraceFileError, match="t0_s"):
             critical_path(legacy)
-        assert critical_path_seconds(legacy) is None
-        assert critical_path_seconds([]) is None
-        assert critical_path_seconds(TREE) == pytest.approx(10.0)
 
     def test_render_lists_stages_and_chain(self):
         text = critical_path(TREE).render(limit=2)

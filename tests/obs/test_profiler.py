@@ -6,7 +6,6 @@ import pytest
 
 from repro import obs
 from repro.obs import SpanProfiler, render_collapsed, render_top
-from repro.obs.profiler import merge_profile_data, profile_digest
 from repro.obs.trace import ObsError
 
 
@@ -153,23 +152,23 @@ class TestExports:
         assert lines[2].startswith("a:g")  # largest self time first
         assert "2 function(s) over stages engine.exec" in lines[-1]
 
-    def test_digest_tracks_shape_not_timings(self):
-        fast = self.sample()
-        slow = self.sample()
-        slow["stacks"] = {k: v * 100 for k, v in slow["stacks"].items()}
-        assert profile_digest(fast) == profile_digest(slow)
-        rerouted = self.sample()
-        rerouted["stacks"]["a:f;a:new"] = 0.001
-        assert profile_digest(rerouted) != profile_digest(fast)
-
     def test_merge_profile_data_adds_and_unions(self):
-        merged = merge_profile_data(self.sample(), self.sample())
-        assert merged["stacks"]["a:f;a:g"] == pytest.approx(0.004)
-        assert merged["funcs"]["a:f"]["calls"] == 2
-        from_none = merge_profile_data(None, self.sample())
-        assert from_none["stacks"] == {
+        # How the parent pools worker profiles: shared stacks and
+        # functions add up, ones only one payload holds carry over.
+        profiler = SpanProfiler({"engine.exec"})
+        profiler.merge(self.sample())
+        assert profiler.data()["stacks"] == {
             k: pytest.approx(v) for k, v in self.sample()["stacks"].items()
         }
+        other = self.sample()
+        other["stacks"]["a:f;a:k"] = 0.004
+        other["funcs"]["a:k"] = {"calls": 3, "self_s": 0.004, "cum_s": 0.004}
+        profiler.merge(other)
+        merged = profiler.data()
+        assert merged["stacks"]["a:f;a:g"] == pytest.approx(0.004)
+        assert merged["stacks"]["a:f;a:k"] == pytest.approx(0.004)
+        assert merged["funcs"]["a:f"]["calls"] == 2
+        assert merged["funcs"]["a:k"]["calls"] == 3
 
 
 class TestObsWiring:

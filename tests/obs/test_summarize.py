@@ -60,6 +60,15 @@ class TestLoadSpans:
             spans = load_spans(str(path))
         assert [s["id"] for s in spans] == [2]
 
+    def test_non_utf8_line_warns_and_skips(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(
+            b'{"name": "a", "id": 1}\n\xff\n{"name": "b", "id": 2}\n'
+        )
+        with pytest.warns(UserWarning, match=":2 is not valid JSON"):
+            spans = load_spans(str(path))
+        assert [s["name"] for s in spans] == ["a", "b"]
+
     def test_truncated_trailing_line_salvaged(self, tmp_path):
         # A crash mid-write leaves a partial last line; the good prefix
         # must still load (same salvage contract as RunLedger reads).
@@ -127,8 +136,3 @@ class TestRendering:
         assert lines[0].startswith("pair.run")
         assert lines[1].startswith("  trace.gen")
         assert any("[error]" in line for line in lines)
-
-    def test_tree_max_depth(self):
-        tree = render_tree(summarize_spans(SAMPLE), max_depth=0)
-        assert "trace.gen" not in tree
-        assert "pair.run" in tree

@@ -58,29 +58,6 @@ class TestChromeTrace:
         # above the sweep lane.
         assert {c["pid"] for c in counters} == {100}
 
-    def test_metrics_snapshot_appended_as_counter(self):
-        metrics = {
-            "repro_pairs_total": {
-                "kind": "counter", "help": "",
-                "children": [{"labels": [], "value": 2.0}],
-            },
-            "repro_engine_runs_total": {
-                "kind": "counter", "help": "",
-                "children": [{"labels": [["engine", "vector"]], "value": 2.0}],
-            },
-            "repro_pair_seconds": {  # histograms are skipped
-                "kind": "histogram", "help": "", "children": [],
-            },
-        }
-        doc = chrome_trace(SAMPLE, metrics=metrics)
-        snap = [
-            e for e in doc["traceEvents"] if e["name"] == "metrics"
-        ][0]
-        assert snap["args"] == {
-            "repro_pairs_total": 2.0,
-            "repro_engine_runs_total{engine=vector}": 2.0,
-        }
-
     def test_pre_timeline_schema_raises(self):
         old = [dict(s) for s in SAMPLE]
         for record in old:

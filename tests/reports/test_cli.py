@@ -147,6 +147,32 @@ class TestObservabilityFlags:
         # And the CLI turned obs back off on the way out.
         assert not obs.enabled()
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--pairs", "1", "--sample-ops", "5000", "--no-cache",
+         "--jobs", "1", "--trace", "{missing}/t.jsonl"],
+        ["run", "--pairs", "1", "--sample-ops", "5000", "--no-cache",
+         "--jobs", "1", "--profile-stage", "engine.exec",
+         "--profile-out", "{missing}/p.txt"],
+        ["trace", "export", "{trace}", "-o", "{missing}/x.json"],
+    ], ids=["trace", "profile-out", "export"])
+    def test_unwritable_output_path_is_one_error_line(
+        self, argv, tmp_path, capsys
+    ):
+        missing = tmp_path / "missing"
+        trace = tmp_path / "t.jsonl"
+        trace.write_text(json.dumps({
+            "schema": 2, "id": 1, "parent": None, "name": "suite.run",
+            "t0_s": 0.0, "wall_s": 0.1, "pid": 1, "status": "ok",
+        }) + "\n")
+        argv = [arg.format(missing=missing, trace=trace) for arg in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and str(missing) in errors[0]
+        assert "Traceback" not in err
+        assert not obs.enabled()
+
     def test_trace_summarize_round_trip(self, tmp_path, capsys):
         trace_path = tmp_path / "t.jsonl"
         assert main([
