@@ -17,47 +17,15 @@ Quickstart::
     print(report.ipc, report.miss_rates)
 
 :mod:`repro.api` is the stable facade; prefer it for all downstream code.
-The top-level ``repro`` namespace keeps its historical exports and lazily
-resolves any other ``repro.api`` name with a :class:`DeprecationWarning`.
+The top-level ``repro`` namespace keeps its historical exports, each
+imported from its module on first use (:mod:`repro.lazy`), and resolves
+any other ``repro.api`` name with a :class:`DeprecationWarning`.
 """
 
-from .config import (
-    CacheConfig,
-    PipelineConfig,
-    SystemConfig,
-    get_config,
-    haswell_e5_2650l_v3,
-)
-from .errors import (
-    AnalysisError,
-    ClusteringError,
-    CollectionError,
-    ConfigError,
-    CounterError,
-    CounterValidationError,
-    ExperimentError,
-    LintError,
-    ReproError,
-    SimulationError,
-    UnknownBenchmarkError,
-    WorkloadError,
-)
-from .perf import CounterReport, PerfSession
-from .runner import (
-    PairFailure,
-    ResultCache,
-    RunManifest,
-    SuiteRunner,
-    SuiteRunResult,
-)
-from .workloads import (
-    BenchmarkSuite,
-    InputSize,
-    MiniSuite,
-    WorkloadProfile,
-    cpu2006,
-    cpu2017,
-)
+import importlib.util
+import warnings
+
+from .lazy import attach
 
 __version__ = "1.0.0"
 
@@ -96,29 +64,45 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    """Lazily serve ``repro.api`` names not in ``repro.__all__``.
+def _deprecated_api_name(name: str):
+    """Serve the other ``repro.api`` names, with a DeprecationWarning
+    steering callers to the stable facade.
 
-    ``repro.Characterizer`` and friends keep working, but with a
-    :class:`DeprecationWarning` steering callers to the stable facade.
-    Lazy resolution (PEP 562) also keeps heavy analysis modules out of
-    the base ``import repro`` cost.
+    Subpackages are not served: ``from .. import obs`` inside the package
+    asks this module for ``obs`` before it imports the subpackage, and
+    must get AttributeError so that the import goes on.
     """
-    import importlib
-    import warnings
-
-    # import_module, not ``from . import api``: the from-import form asks
-    # the package for its ``api`` attribute, which re-enters this very
-    # __getattr__ before the submodule is bound.
-    _api = importlib.import_module(".api", __name__)
-    if name == "api":
-        return _api
-    if name in _api.__all__:
-        warnings.warn(
-            "accessing repro.%s via the top-level package is deprecated; "
-            "import it from repro.api instead" % name,
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(_api, name)
+    if importlib.util.find_spec("%s.%s" % (__name__, name)) is None:
+        api = importlib.import_module(".api", __name__)
+        if name in api.__all__:
+            warnings.warn(
+                "accessing repro.%s via the top-level package is deprecated; "
+                "import it from repro.api instead" % name,
+                DeprecationWarning,
+                stacklevel=3,
+            )
+            return getattr(api, name)
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+__getattr__, __dir__ = attach(globals(), {
+    ".config": (
+        "CacheConfig", "PipelineConfig", "SystemConfig", "get_config",
+        "haswell_e5_2650l_v3",
+    ),
+    ".errors": (
+        "AnalysisError", "ClusteringError", "CollectionError", "ConfigError",
+        "CounterError", "CounterValidationError", "ExperimentError",
+        "LintError", "ReproError", "SimulationError", "UnknownBenchmarkError",
+        "WorkloadError",
+    ),
+    ".perf": ("CounterReport", "PerfSession"),
+    ".runner": (
+        "PairFailure", "ResultCache", "RunManifest", "SuiteRunner",
+        "SuiteRunResult",
+    ),
+    ".workloads": (
+        "BenchmarkSuite", "InputSize", "MiniSuite", "WorkloadProfile",
+        "cpu2006", "cpu2017",
+    ),
+}, fallback=_deprecated_api_name)

@@ -10,7 +10,13 @@ be *added* here over time, but an existing name never changes meaning or
 disappears without a deprecation cycle.  Deep imports
 (``repro.uarch.core``, ``repro.workloads.generator``, ...) still work but
 are implementation detail: they may move between releases, and the
-``API001`` lint rule keeps the shipped examples and docs off them.
+``LAY001`` lint check keeps the shipped examples and docs off them.
+
+Each name is imported from its module on first use (:mod:`repro.lazy`),
+so ``import repro.api`` itself loads no numpy, and a sweep built from
+here never loads the analysis modules it does not run.
+``from repro.api import X``, ``from repro.api import *`` and ``dir()``
+work as with eager imports.
 
 The facade groups into:
 
@@ -31,85 +37,50 @@ The facade groups into:
 
 from __future__ import annotations
 
-from . import obs
-from .config import (
-    CacheConfig,
-    PipelineConfig,
-    SystemConfig,
-    get_config,
-    haswell_e5_2650l_v3,
-)
-from .core import (
-    Characterizer,
-    SubsetResult,
-    SubsetSelector,
-    feature_matrix,
-    feature_vector,
-)
-from .errors import (
-    AnalysisError,
-    ClusteringError,
-    CollectionError,
-    ConfigError,
-    CounterError,
-    CounterValidationError,
-    ExperimentError,
-    LintError,
-    ReproError,
-    SimulationError,
-    UnknownBenchmarkError,
-    WorkloadError,
-)
-from .obs import (
-    CriticalPathReport,
-    DriftDetector,
-    DriftReport,
-    DriftThresholds,
-    MetricsRegistry,
-    RunLedger,
-    SpanProfiler,
-    Tracer,
-    UtilizationReport,
-    check_ledger,
-    chrome_trace,
-    critical_path,
-    export_chrome_trace,
-    load_spans,
-    utilization,
-)
-from .perf import CounterReport, PerfSession
-from .phases import (
-    PhaseDetector,
-    PhasedTraceGenerator,
-    PhasedWorkload,
-    Schedule,
-    estimate_from_simulation_points,
-    make_phases,
-)
-from .runner import (
-    PairFailure,
-    ResultCache,
-    RunManifest,
-    SuiteRunner,
-    SuiteRunResult,
-)
-from .uarch.core import SimulatedCore
-from .workloads import (
-    BenchmarkSuite,
-    InputSize,
-    MiniSuite,
-    WorkloadProfile,
-    cpu2006,
-    cpu2017,
-)
-from .workloads.calibrate import solve_pipeline_params
-from .workloads.generator import TraceGenerator
-from .workloads.profile import (
-    BranchBehavior,
-    BranchMix,
-    InstructionMix,
-    MemoryBehavior,
-)
+from .lazy import attach
+
+__getattr__, __dir__ = attach(globals(), {
+    ".": ("obs",),
+    ".config": (
+        "CacheConfig", "PipelineConfig", "SystemConfig", "get_config",
+        "haswell_e5_2650l_v3",
+    ),
+    ".core": (
+        "Characterizer", "SubsetResult", "SubsetSelector", "feature_matrix",
+        "feature_vector",
+    ),
+    ".errors": (
+        "AnalysisError", "ClusteringError", "CollectionError", "ConfigError",
+        "CounterError", "CounterValidationError", "ExperimentError",
+        "LintError", "ReproError", "SimulationError", "UnknownBenchmarkError",
+        "WorkloadError",
+    ),
+    ".obs": (
+        "CriticalPathReport", "DriftDetector", "DriftReport",
+        "DriftThresholds", "MetricsRegistry", "RunLedger", "SpanProfiler",
+        "Tracer", "UtilizationReport", "check_ledger", "chrome_trace",
+        "critical_path", "export_chrome_trace", "load_spans", "utilization",
+    ),
+    ".perf": ("CounterReport", "PerfSession"),
+    ".phases": (
+        "PhaseDetector", "PhasedTraceGenerator", "PhasedWorkload", "Schedule",
+        "estimate_from_simulation_points", "make_phases",
+    ),
+    ".runner": (
+        "PairFailure", "ResultCache", "RunManifest", "SuiteRunner",
+        "SuiteRunResult",
+    ),
+    ".uarch.core": ("SimulatedCore",),
+    ".workloads": (
+        "BenchmarkSuite", "InputSize", "MiniSuite", "WorkloadProfile",
+        "cpu2006", "cpu2017",
+    ),
+    ".workloads.calibrate": ("solve_pipeline_params",),
+    ".workloads.generator": ("TraceGenerator",),
+    ".workloads.profile": (
+        "BranchBehavior", "BranchMix", "InstructionMix", "MemoryBehavior",
+    ),
+})
 
 __all__ = [
     # Suites and workloads

@@ -7,14 +7,7 @@ Table VIII (:mod:`features`), and the redundancy/subsetting study of
 Section V (:mod:`subset`).
 """
 
-from .metrics import PairMetrics
-from .characterize import Characterizer
-from .aggregate import SuiteSizeSummary, summarize_by_suite_and_size
-from .compare import ComparisonRow, SuiteComparison, compare_suites
-from .features import FEATURE_NAMES, feature_matrix, feature_vector
-from .sizes import SizeSimilarity, input_size_similarity, summarize_size_similarity
-from .subset import SubsetResult, SubsetSelector, SweepPoint
-from .validate import MetricValidation, SubsetValidation, validate_subset
+from ..lazy import attach
 
 __all__ = [
     "Characterizer",
@@ -37,3 +30,16 @@ __all__ = [
     "feature_vector",
     "summarize_by_suite_and_size",
 ]
+
+__getattr__, __dir__ = attach(globals(), {
+    ".metrics": ("PairMetrics",),
+    ".characterize": ("Characterizer",),
+    ".aggregate": ("SuiteSizeSummary", "summarize_by_suite_and_size"),
+    ".compare": ("ComparisonRow", "SuiteComparison", "compare_suites"),
+    ".features": ("FEATURE_NAMES", "feature_matrix", "feature_vector"),
+    ".sizes": (
+        "SizeSimilarity", "input_size_similarity", "summarize_size_similarity",
+    ),
+    ".subset": ("SubsetResult", "SubsetSelector", "SweepPoint"),
+    ".validate": ("MetricValidation", "SubsetValidation", "validate_subset"),
+})

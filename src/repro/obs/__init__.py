@@ -29,17 +29,9 @@ Zero dependencies beyond the standard library, by design.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from .drift import (
-    DriftDetector,
-    DriftFinding,
-    DriftReport,
-    DriftThresholds,
-    check_ledger,
-    paper_anchor_vector,
-    sampling_rel_sigma,
-)
+from ..lazy import attach
 from .ledger import (
     LEDGER_ENV,
     LEDGER_SCHEMA,
@@ -49,25 +41,6 @@ from .ledger import (
     characteristic_digest,
     default_ledger_path,
 )
-from .critical import (
-    CriticalPathReport,
-    PathSegment,
-    StageLine,
-    StageShare,
-    TraceFileError,
-    TraceSummary,
-    UtilizationReport,
-    WorkerLine,
-    chrome_trace,
-    critical_path,
-    export_chrome_trace,
-    load_spans,
-    render_table,
-    render_tree,
-    summarize,
-    summarize_spans,
-    utilization,
-)
 from .metrics import (
     DEFAULT_BUCKETS,
     DEFAULT_PREFIX,
@@ -75,7 +48,6 @@ from .metrics import (
     MetricsError,
     MetricsRegistry,
 )
-from .profiler import SpanProfiler, render_collapsed, render_top
 from .trace import (
     DEFAULT_CAPACITY,
     NULL_SPAN,
@@ -83,6 +55,9 @@ from .trace import (
     SpanHandle,
     Tracer,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - imported on first use below
+    from .profiler import SpanProfiler
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -146,6 +121,23 @@ __all__ = [
     "worker_payload",
 ]
 
+# The offline readers (trace analysis, drift watchdog, profiler) load on
+# first use: no sweep runs them.
+__getattr__, __dir__ = attach(globals(), {
+    ".critical": (
+        "CriticalPathReport", "PathSegment", "StageLine", "StageShare",
+        "TraceFileError", "TraceSummary", "UtilizationReport", "WorkerLine",
+        "chrome_trace", "critical_path", "export_chrome_trace", "load_spans",
+        "render_table", "render_tree", "summarize", "summarize_spans",
+        "utilization",
+    ),
+    ".drift": (
+        "DriftDetector", "DriftFinding", "DriftReport", "DriftThresholds",
+        "check_ledger", "paper_anchor_vector", "sampling_rel_sigma",
+    ),
+    ".profiler": ("SpanProfiler", "render_collapsed", "render_top"),
+})
+
 # ---------------------------------------------------------------------------
 # Process-local state.  One tracer + one registry per process; the hooks
 # below early-out on ``None`` so the disabled path stays branch-cheap.
@@ -179,6 +171,8 @@ def enable(
     elif not metrics:
         _REGISTRY = None
     if profile_stages:
+        from .profiler import SpanProfiler
+
         _PROFILER = SpanProfiler(profile_stages)
         _TRACER.set_profiler(_PROFILER)
     else:
@@ -334,6 +328,8 @@ def absorb_worker_payload(
             # The parent had no matching stage open (pooled sweeps run
             # the stages in workers); adopt the worker's stage set so
             # the merged profile still surfaces through active_profiler.
+            from .profiler import SpanProfiler
+
             _PROFILER = SpanProfiler(worker_profile.get("stages") or [])
             if _TRACER is not None:
                 _TRACER.set_profiler(_PROFILER)

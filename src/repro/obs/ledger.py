@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -49,8 +50,25 @@ LEDGER_ENV = "REPRO_LEDGER"
 KIND_RUN = "run"
 
 
+#: The package whose frames a salvage warning skips (``repro.obs``).
+_OBS_PACKAGE = __name__.rpartition(".")[0]
+
+
 class LedgerError(ReproError):
     """Raised for ledger misuse (bad path, unresolvable run reference)."""
+
+
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` that attributes a warning its caller raises to
+    the first frame outside :mod:`repro.obs`: the code that asked for
+    the records, however many obs frames it reached them through."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None:
+        module = frame.f_globals.get("__name__", "")
+        if module != _OBS_PACKAGE and not module.startswith(_OBS_PACKAGE + "."):
+            break
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def salvage_jsonl(
@@ -63,8 +81,8 @@ def salvage_jsonl(
     trace files.  A line that is not valid JSON (a writer killed
     mid-line, a partial disk, bytes that are not UTF-8) or is not a
     ``noun`` record is skipped with a warning naming
-    ``<label> <path>:<line>``, attributed to the code that called the
-    reader wrapping this function; blank lines are ignored.  Raises
+    ``<label> <path>:<line>``, attributed to the first caller outside
+    :mod:`repro.obs`; blank lines are ignored.  Raises
     ``OSError`` when the file cannot be opened.
     """
     with open(path, "rb") as handle:
@@ -82,14 +100,14 @@ def salvage_jsonl(
             warnings.warn(
                 "%s %s:%d is not valid JSON; skipping the line"
                 % (label, path, lineno),
-                stacklevel=3,
+                stacklevel=_caller_stacklevel(),
             )
             continue
         if not isinstance(record, dict) or required not in record:
             warnings.warn(
                 "%s %s:%d is not a %s record; skipping the line"
                 % (label, path, lineno, noun),
-                stacklevel=3,
+                stacklevel=_caller_stacklevel(),
             )
             continue
         records.append(record)

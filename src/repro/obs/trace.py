@@ -1,8 +1,8 @@
 """Hierarchical span tracer: the "where did the time go" half of obs.
 
 A :class:`Tracer` records *spans* — named, attributed, nested timing
-records — into a bounded in-memory ring buffer and, optionally, an
-append-only JSONL sink.  Spans form a tree: every span opened while
+records — into a bounded in-memory ring buffer and, optionally, a JSONL
+sink file.  Spans form a tree: every span opened while
 another is active becomes its child, mirroring the pipeline's call
 structure (``suite.run`` → ``pair.run`` → ``trace.gen`` /
 ``engine.exec`` / ``counters.validate`` → stats stages).
@@ -131,9 +131,10 @@ class Tracer:
     Args:
         capacity: Maximum finished spans retained in memory (oldest
             dropped first).  The sink is unaffected by this bound.
-        sink_path: Optional path of a JSONL file to append every
+        sink_path: Optional path of a JSONL file to write every
             finished span to.  Opened eagerly so a bad path fails at
-            construction, not mid-sweep.
+            construction, not mid-sweep, and truncated: span ids restart
+            at 1 in every tracer, so one file holds one tracer's spans.
 
     One tracer serves one process; the process pool gives each worker
     its own (sinkless) tracer whose spans travel back to the parent as
@@ -164,7 +165,7 @@ class Tracer:
         self.sink_path = sink_path
         if sink_path is not None:
             try:
-                self._sink = open(sink_path, "a", encoding="utf-8")
+                self._sink = open(sink_path, "w", encoding="utf-8")
             except OSError as error:
                 raise ObsError(
                     "cannot open trace sink %s: %s" % (sink_path, error)

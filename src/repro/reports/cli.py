@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from typing import List, Optional
 
 from .. import __version__, obs
@@ -347,8 +348,6 @@ def _cmd_run_pairs(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from .export import export_result
-
     if args.pairs is not None:
         if args.experiments:
             raise SimulationError(
@@ -369,6 +368,9 @@ def _cmd_run(args) -> int:
         print(result)
         print()
         if args.output:
+            # Only here: a run without --output loads no CSV writer.
+            from .export import export_result
+
             for path in export_result(result, args.output):
                 print("wrote %s" % path)
             print()
@@ -581,6 +583,12 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """A warning as the CLI prints it: one ``warning:`` line, like an
+    ``error:`` line, with no library source line echoed."""
+    return "warning: %s\n" % message
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     trace_path = getattr(args, "trace", None)
@@ -592,6 +600,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         and (trace_path or metrics or profile_stages)
     )
     status = 1
+    format_warning = warnings.formatwarning
+    warnings.formatwarning = _warning_line
     try:
         # Inside the try: an unwritable --trace path is an ObsError.
         if obs_on:
@@ -616,6 +626,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ReproError as error:
         print("error: %s" % error, file=sys.stderr)
     finally:
+        warnings.formatwarning = format_warning
         if obs_on and obs.enabled():
             if metrics:
                 registry = obs.registry()

@@ -6,24 +6,7 @@ tracker, and an interval-analysis pipeline model, all parameterized by
 :class:`repro.config.SystemConfig`.
 """
 
-from .cache import Cache, CacheStats
-from .hierarchy import AccessResult, HierarchyStats, MemoryHierarchy
-from .branch import (
-    BimodalPredictor,
-    BranchPredictor,
-    GSharePredictor,
-    PredictorStats,
-    StaticTakenPredictor,
-    TournamentPredictor,
-    TwoLevelPredictor,
-    make_predictor,
-)
-from .pipeline import CPIBreakdown, PipelineModel
-from .memory import FootprintEstimate, FootprintTracker
-from .core import ENGINES, CoreResult, SimulatedCore
-from .vector import EngineMeasurement, execute_vector, unsupported_reason
-from .cycle_core import CycleResult, InOrderCore
-from .replacement import make_policy
+from ..lazy import attach
 
 __all__ = [
     "AccessResult",
@@ -53,3 +36,19 @@ __all__ = [
     "make_policy",
     "make_predictor",
 ]
+
+__getattr__, __dir__ = attach(globals(), {
+    ".cache": ("Cache", "CacheStats"),
+    ".hierarchy": ("AccessResult", "HierarchyStats", "MemoryHierarchy"),
+    ".branch": (
+        "BimodalPredictor", "BranchPredictor", "GSharePredictor",
+        "PredictorStats", "StaticTakenPredictor", "TournamentPredictor",
+        "TwoLevelPredictor", "make_predictor",
+    ),
+    ".pipeline": ("CPIBreakdown", "PipelineModel"),
+    ".memory": ("FootprintEstimate", "FootprintTracker"),
+    ".core": ("ENGINES", "CoreResult", "SimulatedCore"),
+    ".vector": ("EngineMeasurement", "execute_vector", "unsupported_reason"),
+    ".cycle_core": ("CycleResult", "InOrderCore"),
+    ".replacement": ("make_policy",),
+})

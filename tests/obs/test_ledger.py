@@ -4,9 +4,11 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
+from repro.obs.drift import check_ledger
 from repro.obs.ledger import (
     KIND_RUN,
     LEDGER_ENV,
@@ -171,6 +173,23 @@ class TestRobustness:
         with pytest.warns(UserWarning, match=r"l\.jsonl:2 is not valid JSON"):
             runs = ledger.runs()
         assert [r["run_id"] for r in runs] == ["a" * 12, "b" * 12]
+
+    def test_warnings_name_the_caller(self, tmp_path):
+        # However many repro.obs frames the read went through (runs ->
+        # records, or the drift watchdog), the warning points at the
+        # code that asked for the records, not at the ledger's source.
+        path = tmp_path / "l.jsonl"
+        path.write_bytes(json.dumps(synthetic_record()).encode() + b"\n\xff\n")
+        ledger = RunLedger(path=path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ledger.records()
+            ledger.runs()
+            ledger.resolve("-1")
+            check_ledger(ledger)
+        salvage = [w for w in caught if "not valid JSON" in str(w.message)]
+        assert len(salvage) >= 4
+        assert {w.filename for w in salvage} == {__file__}
 
     def test_non_record_json_line_skipped_with_warning(self, tmp_path):
         path = tmp_path / "l.jsonl"

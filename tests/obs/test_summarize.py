@@ -1,6 +1,7 @@
 """Trace-file summarization tests."""
 
 import json
+import warnings
 
 import pytest
 
@@ -79,6 +80,17 @@ class TestLoadSpans:
         with pytest.warns(UserWarning):
             spans = load_spans(str(path))
         assert len(spans) == len(SAMPLE)
+
+    def test_warnings_name_the_caller(self, tmp_path):
+        # However many repro.obs frames the read went through, the
+        # warning points at the code that asked for it.
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps(SAMPLE[0]) + "\nnot json\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            load_spans(str(path))
+            summarize(str(path))
+        assert [w.filename for w in caught] == [__file__, __file__]
 
 
 class TestSummarizeSpans:

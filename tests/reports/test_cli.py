@@ -1,11 +1,17 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro import obs
 from repro.reports.cli import main
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 @pytest.fixture(autouse=True)
@@ -197,6 +203,23 @@ class TestObservabilityFlags:
         out = capsys.readouterr().out
         assert "pair.run" in out
 
+    def test_trace_file_holds_one_invocation(self, tmp_path, capsys):
+        # Span ids restart at 1 in every process: a second run into the
+        # same file replaces the first run's spans instead of mixing
+        # two trees under each shared id.
+        trace_path = tmp_path / "t.jsonl"
+        argv = ["pair", "505.mcf_r", "--sample-ops", "2000", "--no-cache",
+                "--trace", str(trace_path)]
+        assert main(argv) == 0
+        one_run = len(trace_path.read_text().splitlines())
+        assert main(argv) == 0
+        capsys.readouterr()
+        spans = [
+            json.loads(line) for line in trace_path.read_text().splitlines()
+        ]
+        roots = [span["name"] for span in spans if span["parent"] is None]
+        assert len(spans) == one_run and roots == ["suite.run"]
+
     def test_trace_summarize_missing_file_is_friendly(self, capsys):
         assert main(["trace", "summarize", "/nonexistent/t.jsonl"]) == 1
         assert "error:" in capsys.readouterr().err
@@ -385,6 +408,42 @@ class TestObsLedgerCli:
         assert main(["obs", "diff", "-2", "-1"] + flag) == 0
         assert "manifest.cache_hits" in capsys.readouterr().out
         assert main(["obs", "check"] + flag) == 0
+
+
+class TestSalvageWarnings:
+    """A skipped ledger or trace line is one ``warning:`` line on stderr,
+    naming the file and line, with no library source echoed."""
+
+    @staticmethod
+    def stderr_of(*argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        return completed.stderr.splitlines()
+
+    def test_obs_history_on_a_bad_ledger_line(self, tmp_path):
+        from tests.obs.test_ledger import synthetic_record
+
+        ledger = tmp_path / "l.jsonl"
+        ledger.write_bytes(
+            json.dumps(synthetic_record()).encode() + b"\n\xff\n")
+        assert self.stderr_of("obs", "history", "--ledger", str(ledger)) == [
+            "warning: ledger %s:2 is not valid JSON; skipping the line"
+            % ledger]
+
+    def test_trace_summarize_on_a_bad_trace_line(self, tmp_path):
+        trace = tmp_path / "t.jsonl"
+        trace.write_text(json.dumps({
+            "schema": 2, "id": 1, "parent": None, "name": "suite.run",
+            "t0_s": 0.0, "wall_s": 0.1, "pid": 1, "status": "ok",
+        }) + "\n" + '{"id": 2, "name": "pair.ru\n')
+        assert self.stderr_of("trace", "summarize", str(trace)) == [
+            "warning: trace %s:2 is not valid JSON; skipping the line"
+            % trace]
 
 
 class TestParser:
