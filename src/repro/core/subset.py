@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple  # noqa: F401
 import numpy as np
 
 from ..errors import AnalysisError
-from ..stats.cluster import AgglomerativeClustering, ClusteringResult, sse
+from ..stats.cluster import AgglomerativeClustering, ClusteringResult
 from ..stats.dendrogram import Dendrogram
 from ..stats.pareto import ParetoPoint, knee_point
 from ..stats.pca import PCA, PCAResult
@@ -67,6 +67,55 @@ class SubsetResult:
 
     def dendrogram(self) -> Dendrogram:
         return Dendrogram.from_result(self.clustering, self.pair_names)
+
+
+def sweep_points(
+    scores: np.ndarray, times: np.ndarray, clustering: ClusteringResult
+) -> List[SweepPoint]:
+    """SSE and subset time of every cut of ``clustering``, k = 1..n.
+
+    Cutting at k - 1 clusters applies one merge more than cutting at k,
+    so the n cuts share only 2n - 1 distinct clusters.  Each cluster's
+    SSE term and fastest run time are computed once, when the cluster
+    forms, and each cut sums its clusters' terms in label order (by
+    smallest member), the order :func:`~repro.stats.cluster.sse` and
+    :meth:`~repro.stats.cluster.ClusteringResult.labels` use.  Every
+    point therefore equals ``sse(scores, labels(k))`` and the per-k sum
+    of each cluster's fastest time bit for bit.
+    """
+    n = clustering.n_points
+    scores = np.asarray(scores, dtype=np.float64)
+    members: Dict[int, List[int]] = {}
+    terms: Dict[int, Tuple[float, float]] = {}
+
+    def form(cluster: int, rows: List[int]) -> None:
+        block = scores[rows]
+        centroid = block.mean(axis=0)
+        members[cluster] = rows
+        terms[cluster] = (
+            float(np.sum((block - centroid) ** 2)), float(times[rows].min())
+        )
+
+    for leaf in range(n):
+        form(leaf, [leaf])
+    points: List[SweepPoint] = []
+    for step in range(n):
+        if step:
+            merge = clustering.merges[step - 1]
+            form(n + step - 1, sorted(
+                members.pop(merge.left) + members.pop(merge.right)
+            ))
+        ordered = sorted(members, key=lambda cluster: members[cluster][0])
+        total = 0.0
+        for cluster in ordered:
+            total += terms[cluster][0]
+        points.append(SweepPoint(
+            n_clusters=n - step,
+            sse=total,
+            subset_time_seconds=sum(terms[cluster][1] for cluster in ordered),
+        ))
+    points.reverse()
+    return points
 
 
 class SubsetSelector:
@@ -169,20 +218,7 @@ class SubsetSelector:
         scores, metrics = self.group_scores(suite, group)
         clustering = AgglomerativeClustering(linkage=self.linkage).fit(scores)
         times = np.asarray([m.time_seconds for m in metrics])
-        points: List[SweepPoint] = []
-        for k in range(1, len(metrics) + 1):
-            labels = clustering.labels(k)
-            subset_time = sum(
-                float(times[labels == label].min()) for label in range(k)
-            )
-            points.append(
-                SweepPoint(
-                    n_clusters=k,
-                    sse=sse(scores, labels),
-                    subset_time_seconds=subset_time,
-                )
-            )
-        return metrics, times, clustering, points
+        return metrics, times, clustering, sweep_points(scores, times, clustering)
 
     @staticmethod
     def choose_clusters(

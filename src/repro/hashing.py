@@ -17,7 +17,10 @@ those bytes:
 * A top-level dict whose keys are all exact ``str`` is encoded one value
   at a time: ``json.dumps(k) + ":" + enc(v)`` for each key in sorted
   order, joined by commas inside braces, where ``enc(v)`` is the value's
-  own canonical encoding.  Any other material is encoded whole.
+  own canonical encoding (:func:`canonical_fields`).  Any other
+  material is encoded whole.  The run ledger writes each record as
+  these same bytes, with its ``run_id`` spliced in, so a record is
+  encoded once for both its id and its line.
 * The encoding of a frozen dataclass whose ``hash()`` succeeds is
   memoized (bounded, least recently used first out), so a sweep's
   :class:`~repro.config.SystemConfig`, which is part of every pair's
@@ -46,7 +49,7 @@ import functools
 import hashlib
 import json
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: Exact types ``jsonable`` returns as they are.  Subclasses (``str``- or
 #: ``int``-mixin enum members, numpy scalars) take the full branch chain.
@@ -116,13 +119,24 @@ def _encode(obj) -> str:
     return text
 
 
+def canonical_fields(material: Dict[str, object]) -> List[str]:
+    """``"<key>":<canonical value>`` for each entry of a dict whose keys
+    are all exact ``str``, in sorted key order.  Joined by commas inside
+    braces, they are the dict's canonical JSON."""
+    return [
+        _ENCODER.encode(key) + ":" + _encode(material[key])
+        for key in sorted(material)
+    ]
+
+
+def canonical_json(material) -> str:
+    """The canonical JSON encoding of ``material``: the bytes
+    :func:`content_hash` hashes."""
+    if type(material) is dict and all(type(key) is str for key in material):
+        return "{%s}" % ",".join(canonical_fields(material))
+    return _encode(material)
+
+
 def content_hash(material) -> str:
     """SHA-256 over the canonical JSON encoding of ``material``."""
-    if type(material) is dict and all(type(key) is str for key in material):
-        payload = "{%s}" % ",".join(
-            _ENCODER.encode(key) + ":" + _encode(material[key])
-            for key in sorted(material)
-        )
-    else:
-        payload = _encode(material)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(material).encode("utf-8")).hexdigest()

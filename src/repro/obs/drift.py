@@ -484,6 +484,6 @@ def check_ledger(
     if not runs:
         return None
     current = runs[-1]
-    history = ledger.comparable_history(current)
+    history = ledger.comparable_history(current, runs)
     detector = DriftDetector(thresholds=thresholds, registry=registry)
     return detector.check(current, history)

@@ -18,16 +18,27 @@ Durability contract:
 * **Appends are whole-line atomic.**  Each record is one ``os.write``
   of one ``\\n``-terminated line on an ``O_APPEND`` descriptor, so two
   runner processes appending concurrently interleave whole records,
-  never halves.
+  never halves.  An append after a torn last line starts a new line.
 * **Reads are salvage-friendly.**  A truncated or corrupt line (a run
   killed mid-write, a partial disk) is skipped with a warning; every
   well-formed record around it is still returned.
 * **Writes are best-effort.**  The runner never fails a sweep because
   the ledger was unwritable; the sweep's counters are already in hand.
+
+The result cache's shards (:mod:`repro.runner.cache`) keep the same
+contract through the same two helpers, :func:`append_line` and
+:func:`salvage_jsonl`.
+
+A line is the record's canonical JSON (:func:`repro.hashing.canonical_json`:
+sorted keys, no spaces).  :func:`build_run_record` encodes each record
+once: ``run_id`` hashes those bytes, and the line is the same bytes with
+``run_id`` spliced in at its sorted place.
 """
 
 from __future__ import annotations
 
+import bisect
+import hashlib
 import json
 import os
 import sys
@@ -37,6 +48,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from ..errors import ReproError
+from ..hashing import canonical_fields, canonical_json
 from ..hashing import content_hash as _content_hash
 
 #: Ledger record schema version, stamped on every line.
@@ -50,8 +62,12 @@ LEDGER_ENV = "REPRO_LEDGER"
 KIND_RUN = "run"
 
 
-#: The package whose frames a salvage warning skips (``repro.obs``).
-_OBS_PACKAGE = __name__.rpartition(".")[0]
+#: The packages whose frames a salvage warning skips: the readers of
+#: ledger and trace files (``repro.obs``) and of cache shards
+#: (``repro.runner``).
+_READER_PACKAGES = tuple(
+    __name__.split(".")[0] + "." + name for name in ("obs", "runner")
+)
 
 
 class LedgerError(ReproError):
@@ -60,12 +76,13 @@ class LedgerError(ReproError):
 
 def _caller_stacklevel() -> int:
     """The ``stacklevel`` that attributes a warning its caller raises to
-    the first frame outside :mod:`repro.obs`: the code that asked for
-    the records, however many obs frames it reached them through."""
+    the first frame outside :data:`_READER_PACKAGES`: the code that asked
+    for the records, however many reader frames it reached them through."""
     frame, level = sys._getframe(1), 1
     while frame is not None:
         module = frame.f_globals.get("__name__", "")
-        if module != _OBS_PACKAGE and not module.startswith(_OBS_PACKAGE + "."):
+        if not any(module == package or module.startswith(package + ".")
+                   for package in _READER_PACKAGES):
             break
         frame, level = frame.f_back, level + 1
     return level
@@ -77,13 +94,13 @@ def salvage_jsonl(
     """Every JSON object line of ``path`` that holds ``required``, in
     file order.
 
-    The read half of the durability contract, shared by ledger and
-    trace files.  A line that is not valid JSON (a writer killed
-    mid-line, a partial disk, bytes that are not UTF-8) or is not a
-    ``noun`` record is skipped with a warning naming
+    The read half of the durability contract, shared by ledger, trace
+    and cache shard files.  A line that is not valid JSON (a writer
+    killed mid-line, a partial disk, bytes that are not UTF-8) or is not
+    a ``noun`` record is skipped with a warning naming
     ``<label> <path>:<line>``, attributed to the first caller outside
-    :mod:`repro.obs`; blank lines are ignored.  Raises
-    ``OSError`` when the file cannot be opened.
+    :mod:`repro.obs` and :mod:`repro.runner`; blank lines are ignored.
+    Raises ``OSError`` when the file cannot be opened.
     """
     with open(path, "rb") as handle:
         lines = handle.read().splitlines()
@@ -114,6 +131,33 @@ def salvage_jsonl(
     return records
 
 
+def append_line(path: Path, line: bytes) -> None:
+    """Append one ``\\n``-terminated ``line`` to ``path`` in one write.
+
+    The write half of the durability contract, shared by the ledger and
+    the cache shards.  The file is opened ``O_APPEND`` and closed again,
+    so concurrent appenders interleave whole lines and no descriptor
+    outlives the call.  When the file does not end in a newline (a
+    writer died mid-line), the line starts with one, so the torn line
+    never swallows this one.  Creates the parent directory on first
+    use; raises ``OSError`` when the file cannot be written.
+    """
+    flags = os.O_RDWR | os.O_CREAT | os.O_APPEND
+    try:
+        fd = os.open(str(path), flags, 0o644)
+    except FileNotFoundError:
+        # Only the first append pays for creating the directory.
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(str(path), flags, 0o644)
+    try:
+        end = os.lseek(fd, 0, os.SEEK_END)
+        if end and os.pread(fd, 1, end - 1) != b"\n":
+            line = b"\n" + line
+        os.write(fd, line)
+    finally:
+        os.close(fd)
+
+
 def default_ledger_path(cache_dir=None) -> Path:
     """``$REPRO_LEDGER`` if set, else ``<cache dir>/ledger.jsonl``."""
     from ..paths import default_cache_dir
@@ -140,6 +184,24 @@ def characteristic_digest(report) -> Dict[str, float]:
     return {name: float(value) for name, value in zip(FEATURE_NAMES, vector)}
 
 
+class RunRecord(dict):
+    """A run record that carries its own ledger line.
+
+    :func:`build_run_record` returns one; :meth:`RunLedger.append`
+    writes :attr:`line` as it is instead of encoding the record again,
+    and drops it, so appending the record again encodes it afresh.  The
+    line is the record as built, so change a copy (``dict(record)``)
+    rather than the record itself before appending it.
+    """
+
+    __slots__ = ("line",)
+
+    def __reduce__(self):
+        # Copies and pickles are plain dicts, so a changed copy never
+        # carries the original's line.
+        return dict, (dict(self),)
+
+
 def build_run_record(
     manifest,
     reports: Dict[str, object],
@@ -149,16 +211,17 @@ def build_run_record(
     engine: str,
     metrics: Optional[Dict[str, object]] = None,
     timestamp: Optional[float] = None,
-) -> Dict[str, object]:
+) -> RunRecord:
     """Assemble one sweep's ledger record (not yet appended).
 
     The ``run_id`` is a short content hash over the whole record
     (timestamp included), so re-running the same sweep yields distinct
-    ids while the payload itself stays deterministic.
+    ids while the payload itself stays deterministic.  The record is
+    encoded once: the bytes ``run_id`` hashes become its ledger line.
     """
     from .. import __version__
 
-    record: Dict[str, object] = {
+    record = RunRecord({
         "schema": LEDGER_SCHEMA,
         "kind": KIND_RUN,
         "time": float(timestamp) if timestamp is not None else time.time(),
@@ -173,8 +236,15 @@ def build_run_record(
             name: characteristic_digest(report)
             for name, report in sorted(reports.items())
         },
-    }
-    record["run_id"] = _content_hash(record)[:12]
+    })
+    fields = canonical_fields(record)
+    run_id = hashlib.sha256(
+        ("{%s}" % ",".join(fields)).encode("utf-8")
+    ).hexdigest()[:12]
+    fields.insert(bisect.bisect(sorted(record), "run_id"),
+                  '"run_id":"%s"' % run_id)
+    record["run_id"] = run_id
+    record.line = ("{%s}\n" % ",".join(fields)).encode("utf-8")
     return record
 
 
@@ -222,18 +292,14 @@ class RunLedger:
         Raises ``OSError`` on an unwritable ledger — callers on the
         sweep path swallow it (best-effort contract).
         """
-        line = json.dumps(record, sort_keys=True) + "\n"
-        flags = os.O_WRONLY | os.O_CREAT | os.O_APPEND
-        try:
-            fd = os.open(str(self.path), flags, 0o644)
-        except FileNotFoundError:
-            # Only the first append pays for creating the directory.
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd = os.open(str(self.path), flags, 0o644)
-        try:
-            os.write(fd, line.encode("utf-8"))
-        finally:
-            os.close(fd)
+        line = getattr(record, "line", None)
+        if line is None:
+            line = (canonical_json(record) + "\n").encode("utf-8")
+        else:
+            # A line is written once: a record kept after its append
+            # (the runner's last_run_record) holds no copy of its bytes.
+            del record.line
+        append_line(self.path, line)
         return record
 
     # -- reading ----------------------------------------------------------
@@ -258,14 +324,18 @@ class RunLedger:
         """Every sweep record, oldest first."""
         return self.records(kind=KIND_RUN)
 
-    def resolve(self, ref: str) -> Dict[str, object]:
+    def resolve(
+        self, ref: str, runs: Optional[List[Dict[str, object]]] = None
+    ) -> Dict[str, object]:
         """Find one *run* record by id prefix or by index.
 
         ``ref`` may be a ``run_id`` prefix (``"3fa9"``) or an integer
         index into the run history — Python semantics, so ``-1`` is the
-        latest run and ``0`` the oldest.
+        latest run and ``0`` the oldest.  ``runs`` is :meth:`runs`, when
+        the caller has read it already.
         """
-        runs = self.runs()
+        if runs is None:
+            runs = self.runs()
         if not runs:
             raise LedgerError("ledger %s holds no runs" % self.path)
         try:
@@ -297,18 +367,21 @@ class RunLedger:
         return matches[0]
 
     def comparable_history(
-        self, current: Dict[str, object]
+        self,
+        current: Dict[str, object],
+        runs: Optional[List[Dict[str, object]]] = None,
     ) -> List[Dict[str, object]]:
         """Prior runs collected under the same setup as ``current``.
 
         "Same setup" is :func:`comparability_key` — config, engine, and
         sample parameters, but *not* code version.  The current record
-        itself (matched by ``run_id``) is excluded.
+        itself (matched by ``run_id``) is excluded.  ``runs`` is
+        :meth:`runs`, when the caller has read it already.
         """
         key = comparability_key(current)
         current_id = current.get("run_id")
         return [
-            record for record in self.runs()
+            record for record in (self.runs() if runs is None else runs)
             if comparability_key(record) == key
             and record.get("run_id") != current_id
         ]

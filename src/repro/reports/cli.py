@@ -459,8 +459,9 @@ def _cmd_obs(args) -> int:
         print(render_history(runs, limit=args.limit))
         return 0
     if args.obs_command == "diff":
-        run_a = ledger.resolve(args.run_a)
-        run_b = ledger.resolve(args.run_b)
+        runs = ledger.runs()
+        run_a = ledger.resolve(args.run_a, runs)
+        run_b = ledger.resolve(args.run_b, runs)
         print("diff %s -> %s" % (run_a.get("run_id"), run_b.get("run_id")))
         lines = diff_runs(run_a, run_b, threshold=args.threshold)
         if not lines:

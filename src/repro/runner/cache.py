@@ -16,6 +16,15 @@ to a fresh run; anything that would change the numbers changes the key, so
 stale entries are never *reused* — they are simply unreachable until
 :meth:`ResultCache.clear` garbage-collects them.
 
+Entries live in one append-only JSONL shard per *sweep identity*: the key
+material minus the profile.  A sweep reads its shard once
+(:meth:`ResultCache.shard`), serves every lookup from memory, and appends
+one line per newly simulated pair.  Shards keep the run ledger's
+durability contract (:func:`~repro.obs.ledger.append_line`,
+:func:`~repro.obs.ledger.salvage_jsonl`): one ``os.write`` per line on an
+``O_APPEND`` descriptor, corrupt lines skipped with a warning, and the
+last line for a key wins.
+
 The default location is ``~/.cache/repro`` and can be overridden with the
 ``REPRO_CACHE_DIR`` environment variable or per-cache with the
 ``directory`` argument.
@@ -25,18 +34,23 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
-# Historical homes of the content hash and the default cache directory;
-# re-exported from the neutral repro.hashing / repro.paths modules so
-# repro.obs can use both without importing the runner.
+# This module is the historical home of the content hash and the default
+# cache directory; both are re-exported from the neutral repro.hashing /
+# repro.paths modules so repro.obs can use them without importing the
+# runner.  Shards keep the ledger's contract through its two helpers.
 from ..hashing import content_hash, jsonable
+from ..obs.ledger import append_line, salvage_jsonl
 from ..paths import CACHE_DIR_ENV, default_cache_dir
 
 #: Bump to invalidate every existing cache entry on disk (layout changes).
 CACHE_SCHEMA = 1
+
+#: A shard's file name, from the hash of its sweep identity.
+_SHARD_NAME = "shard-%s.jsonl"
 
 
 def _code_version() -> str:
@@ -47,8 +61,21 @@ def _code_version() -> str:
     return __version__
 
 
+@dataclass(frozen=True)
+class CacheShard:
+    """One sweep identity's shard file and the entries read from it.
+
+    ``entries`` maps each key to its last well-formed line, as the file
+    stood when :meth:`ResultCache.shard` read it; stores append to the
+    file only.
+    """
+
+    path: Path
+    entries: Dict[str, Dict[str, object]]
+
+
 class ResultCache:
-    """Content-addressed JSON store of per-pair counter values."""
+    """Content-addressed JSONL store of per-pair counter values."""
 
     def __init__(self, directory: Optional[os.PathLike] = None):
         self.directory = Path(directory) if directory else default_cache_dir()
@@ -85,17 +112,40 @@ class ResultCache:
             }
         )
 
-    def path(self, key: str) -> Path:
-        return self.directory / (key + ".json")
+    def shard(
+        self,
+        config,
+        sample_ops: int,
+        warmup_fraction: float,
+        engine: Optional[str] = None,
+    ) -> CacheShard:
+        """Read the shard of one sweep identity: :meth:`key`'s material
+        without the profile.
 
-    def load(self, key: str) -> Optional[Dict[str, float]]:
-        """The stored counter values, or None on miss/corruption."""
-        try:
-            with open(self.path(key), "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(entry, dict) or entry.get("schema") != CACHE_SCHEMA:
+        The file is read once, here; a missing or unreadable shard
+        reads as empty.  A line that is not JSON or not a cache line is
+        skipped with a warning, and the last line for a key wins.
+        """
+        identity = content_hash(
+            {
+                "schema": CACHE_SCHEMA,
+                "code_version": _code_version(),
+                "config": config,
+                "sample_ops": sample_ops,
+                "warmup_fraction": warmup_fraction,
+                "engine": engine,
+            }
+        )
+        path = self.directory / (_SHARD_NAME % identity)
+        return CacheShard(path, _read_shard(path))
+
+    def load(
+        self, key: str, shard: CacheShard
+    ) -> Optional[Dict[str, float]]:
+        """The counter values stored under ``key``, or None on a miss or
+        a malformed entry.  Reads ``shard``'s entries, not the disk."""
+        entry = shard.entries.get(key)
+        if entry is None or entry.get("schema") != CACHE_SCHEMA:
             return None
         values = entry.get("values")
         if not isinstance(values, dict):
@@ -105,47 +155,63 @@ class ResultCache:
         except (TypeError, ValueError):
             return None
 
-    def store(self, key: str, pair_name: str, values: Dict[str, float]) -> Path:
-        """Atomically persist one pair's counter values."""
-        self.directory.mkdir(parents=True, exist_ok=True)
+    def store(
+        self,
+        key: str,
+        pair_name: str,
+        values: Dict[str, float],
+        shard: CacheShard,
+    ) -> Path:
+        """Append one pair's counter values to ``shard`` as one line.
+
+        The line also names the code version, which the shard's file
+        name only hashes, so stale shards can be found by reading them.
+        """
         entry = {
-            "schema": CACHE_SCHEMA,
             "code_version": _code_version(),
+            "key": key,
             "pair": pair_name,
+            "schema": CACHE_SCHEMA,
             "values": {name: float(value) for name, value in values.items()},
         }
-        descriptor, tmp_name = tempfile.mkstemp(
-            dir=str(self.directory), suffix=".tmp"
+        line = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+        append_line(shard.path, (line + "\n").encode("utf-8"))
+        return shard.path
+
+    def _files(self) -> List[Path]:
+        """Every shard, plus the ``<key>.json`` files of the
+        one-file-per-entry layout, which nothing reads any more."""
+        return sorted(self.directory.glob(_SHARD_NAME % "*")) + sorted(
+            self.directory.glob("*.json")
         )
-        try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, sort_keys=True)
-            path = self.path(key)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
 
     def entry_count(self) -> int:
-        """Number of entries currently on disk."""
-        try:
-            return sum(1 for _ in self.directory.glob("*.json"))
-        except OSError:
-            return 0
+        """Number of distinct entries currently on disk."""
+        return sum(_entries_in(path) for path in self._files())
 
     def clear(self) -> int:
-        """Delete every cache entry; returns the number removed."""
+        """Delete every shard and leftover entry file; returns the number
+        of entries removed.  The run ledger stays."""
         removed = 0
-        if not self.directory.is_dir():
-            return removed
-        for path in self.directory.glob("*.json"):
+        for path in self._files():
+            count = _entries_in(path)
             try:
                 path.unlink()
-                removed += 1
             except OSError:
-                pass
+                continue
+            removed += count
         return removed
+
+
+def _read_shard(path: Path) -> Dict[str, Dict[str, object]]:
+    """Each key's last well-formed line in the shard at ``path``."""
+    try:
+        lines = salvage_jsonl(path, "cache shard", "cache", "key")
+    except OSError:
+        return {}
+    return {line["key"]: line for line in lines if type(line["key"]) is str}
+
+
+def _entries_in(path: Path) -> int:
+    """Distinct entries in one shard, or 1 for a ``<key>.json`` file."""
+    return 1 if path.suffix == ".json" else len(_read_shard(path))

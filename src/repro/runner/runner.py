@@ -37,7 +37,7 @@ from ..perf.report import CounterReport
 from ..perf.session import DEFAULT_SAMPLE_OPS, PerfSession
 from ..workloads.profile import InputSize, MiniSuite, WorkloadProfile
 from ..workloads.suite import AppInput, BenchmarkSuite
-from .cache import ResultCache
+from .cache import CacheShard, ResultCache
 
 #: Reason recorded for pairs the paper could not collect (strict mode).
 _COLLECTION_REASON = "perf reported collection errors for this pair in the paper"
@@ -46,6 +46,9 @@ PairLike = Union[AppInput, WorkloadProfile]
 
 #: ``progress(done, total, record)`` — invoked once per finished pair.
 ProgressCallback = Callable[[int, int, "PairRecord"], None]
+
+#: ``store(pair_name, values)`` — persists one validated pair's counters.
+StoreCallback = Callable[[str, Dict[str, float]], None]
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +323,7 @@ class SuiteRunner:
         keys: Dict[str, str] = {}
         pending: List[WorkloadProfile] = []
         done = 0
+        shard: Optional[CacheShard] = None
 
         def finish(record: PairRecord) -> None:
             nonlocal done
@@ -328,16 +332,38 @@ class SuiteRunner:
             if self.progress is not None:
                 self.progress(done, total, record)
 
+        def store(name: str, values: Dict[str, float]) -> None:
+            if shard is None:
+                return
+            try:
+                self.cache.store(keys[name], name, values, shard)
+            except OSError:
+                # A cache write failure (read-only dir, full disk) must
+                # not sink a sweep whose counters are already in hand;
+                # the pair simply stays uncached.
+                pass
+
+        engine = self._session.resolved_engine
         with obs.profile(
             "suite.run",
             pairs=total,
             workers=self.workers,
-            engine=self._session.resolved_engine,
+            engine=engine,
             cache=self.cache is not None,
         ) as run_span:
             # Phase 1: strict-mode precheck + cache lookups.  The collection
             # -error check runs *before* the cache so a strict sweep can
             # never serve counters for a pair the paper failed to collect.
+            # The shard is read once, before the first lookup: the read
+            # counts toward the sweep's wall time, not a hit's, and a hit
+            # does no file I/O.  Shards and keys use the *resolved* engine
+            # so "auto" shares entries with whichever concrete engine it
+            # resolves to.
+            if self.cache is not None:
+                shard = self.cache.shard(
+                    self.config, self.sample_ops, self.warmup_fraction,
+                    engine=engine,
+                )
             hits = 0
             for profile in profiles:
                 name = profile.pair_name
@@ -354,17 +380,14 @@ class SuiteRunner:
                     )
                     finish(PairRecord(name, 0.0, False, 0, "CollectionError"))
                     continue
-                if self.cache is not None:
+                if shard is not None:
                     lookup_started = time.perf_counter()
-                    # Keyed on the *resolved* engine so "auto" shares
-                    # entries with whichever concrete engine it resolves to.
                     key = self.cache.key(
                         self.config, profile, self.sample_ops,
-                        self.warmup_fraction,
-                        engine=self._session.resolved_engine,
+                        self.warmup_fraction, engine=engine,
                     )
                     keys[name] = key
-                    values = self.cache.load(key)
+                    values = self.cache.load(key, shard)
                     if values is not None:
                         try:
                             # require_valid covers both stale layouts
@@ -396,13 +419,13 @@ class SuiteRunner:
             if pending:
                 if self.workers > 1 and len(pending) > 1:
                     self._run_pooled(
-                        pending, strict_errors, reports, failures, keys,
+                        pending, strict_errors, reports, failures, store,
                         finish,
                     )
                 else:
                     for profile in pending:
                         self._run_with_retries(
-                            profile, strict_errors, reports, failures, keys,
+                            profile, strict_errors, reports, failures, store,
                             finish, prior_attempts=0, prior_seconds=0.0,
                         )
 
@@ -508,7 +531,7 @@ class SuiteRunner:
         attempts: int,
         reports: Dict[str, CounterReport],
         failures: List[PairFailure],
-        keys: Dict[str, str],
+        store: StoreCallback,
         finish: Callable[[PairRecord], None],
     ) -> None:
         name = profile.pair_name
@@ -531,14 +554,7 @@ class SuiteRunner:
             )
             finish(PairRecord(name, seconds, False, attempts, error_type))
             return
-        if self.cache is not None:
-            try:
-                self.cache.store(keys[name], name, values)
-            except OSError:
-                # A cache write failure (read-only dir, full disk) must
-                # not sink a sweep whose counters are already in hand;
-                # the pair simply stays uncached.
-                pass
+        store(name, values)
         finish(PairRecord(name, seconds, False, attempts))
 
     def _run_with_retries(
@@ -547,7 +563,7 @@ class SuiteRunner:
         strict_errors: bool,
         reports: Dict[str, CounterReport],
         failures: List[PairFailure],
-        keys: Dict[str, str],
+        store: StoreCallback,
         finish: Callable[[PairRecord], None],
         prior_attempts: int,
         prior_seconds: float,
@@ -587,7 +603,7 @@ class SuiteRunner:
                 pair_span.set("attempts", attempts)
                 self._record_success(
                     profile, dict(report), seconds, attempts, reports,
-                    failures, keys, finish,
+                    failures, store, finish,
                 )
                 return
             pair_span.set("attempts", attempts)
@@ -605,7 +621,7 @@ class SuiteRunner:
         strict_errors: bool,
         reports: Dict[str, CounterReport],
         failures: List[PairFailure],
-        keys: Dict[str, str],
+        store: StoreCallback,
         finish: Callable[[PairRecord], None],
     ) -> None:
         workers = min(self.workers, len(pending))
@@ -642,11 +658,11 @@ class SuiteRunner:
                 if status == "ok":
                     self._record_success(
                         profile, payload, seconds, 1, reports, failures,
-                        keys, finish,
+                        store, finish,
                     )
                 else:
                     self._run_with_retries(
-                        profile, strict_errors, reports, failures, keys,
+                        profile, strict_errors, reports, failures, store,
                         finish, prior_attempts=1, prior_seconds=seconds,
                         last_error=tuple(payload),
                     )

@@ -2,9 +2,31 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from repro.core.subset import SubsetSelector, SweepPoint
+from repro.core.subset import SubsetSelector, SweepPoint, sweep_points
 from repro.errors import AnalysisError
+from repro.stats.cluster import AgglomerativeClustering, sse
+
+LINKAGES = ("single", "complete", "average", "ward", "centroid")
+
+
+def reference_sweep(scores, times, clustering):
+    """The sweep computed cut by cut: ``sse`` and the fastest member of
+    each cluster, over ``labels(k)`` for every k."""
+    points = []
+    for k in range(1, clustering.n_points + 1):
+        labels = clustering.labels(k)
+        points.append(SweepPoint(
+            n_clusters=k,
+            sse=sse(scores, labels),
+            subset_time_seconds=sum(
+                float(times[labels == label].min()) for label in range(k)
+            ),
+        ))
+    return points
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +90,37 @@ class TestSweep:
     def test_full_k_has_zero_sse(self, selector, suite17):
         sweep = selector.sweep(suite17, "rate")
         assert sweep[-1].sse == pytest.approx(0.0, abs=1e-9)
+
+
+class TestSweepMatchesPerCutReference:
+    """Each cluster's terms are computed once, yet every point equals
+    the per-k reference exactly (``==``, not approximately)."""
+
+    @pytest.mark.parametrize("group", ["rate", "speed"])
+    def test_every_k_of_both_groups(self, selector, suite17, group):
+        scores, metrics = selector.group_scores(suite17, group)
+        times = np.asarray([m.time_seconds for m in metrics])
+        clustering = selector.cluster(suite17, group)
+        assert selector.sweep(suite17, group) == reference_sweep(
+            scores, times, clustering
+        )
+
+    @pytest.mark.parametrize("linkage", LINKAGES)
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_random_point_sets(self, linkage, data):
+        rows = data.draw(st.integers(2, 16))
+        scores = data.draw(arrays(
+            np.float64, (rows, data.draw(st.integers(1, 4))),
+            elements=st.floats(-1e3, 1e3),
+        ))
+        times = data.draw(arrays(
+            np.float64, rows, elements=st.floats(1e-3, 1e4),
+        ))
+        clustering = AgglomerativeClustering(linkage=linkage).fit(scores)
+        assert sweep_points(scores, times, clustering) == reference_sweep(
+            scores, times, clustering
+        )
 
 
 class TestChooseClusters:

@@ -19,7 +19,8 @@ SAMPLE_OPS = 5_000
 
 def load_tree(path):
     """Parse a JSONL trace into (records, children-by-parent-id)."""
-    records = [json.loads(line) for line in open(path, encoding="utf-8")]
+    with open(path, encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle]
     children = {}
     for record in records:
         children.setdefault(record["parent"], []).append(record)

@@ -1,5 +1,6 @@
 """Run-ledger tests: append/read, robustness, resolution, diffing."""
 
+import copy
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ import warnings
 
 import pytest
 
+from repro import obs
+from repro.hashing import canonical_json, content_hash
 from repro.obs.drift import check_ledger
 from repro.obs.ledger import (
     KIND_RUN,
@@ -23,6 +26,7 @@ from repro.obs.ledger import (
     render_history,
 )
 from repro.perf.counters import INST_RETIRED
+from repro.reports.cli import main
 from repro.runner import SuiteRunner
 from repro.workloads.profile import InputSize
 
@@ -191,6 +195,24 @@ class TestRobustness:
         assert len(salvage) >= 4
         assert {w.filename for w in salvage} == {__file__}
 
+    def test_each_command_reads_the_ledger_once(self, tmp_path):
+        # One salvage warning per bad line means one read per command.
+        path = tmp_path / "l.jsonl"
+        ledger = RunLedger(path=path)
+        ledger.append(synthetic_record("a" * 12))
+        with open(path, "ab") as handle:
+            handle.write(b"\xff\n")
+        ledger.append(synthetic_record("b" * 12))
+        for command in (
+            lambda: check_ledger(ledger),
+            lambda: main(["obs", "diff", "0", "-1", "--ledger", str(path)]),
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                command()
+            assert len([w for w in caught
+                        if "not valid JSON" in str(w.message)]) == 1
+
     def test_non_record_json_line_skipped_with_warning(self, tmp_path):
         path = tmp_path / "l.jsonl"
         path.write_text(
@@ -262,6 +284,41 @@ class TestRunRecord:
             engine="vector", timestamp=123.0,
         )
         assert build_run_record(**kwargs) == build_run_record(**kwargs)
+
+    def test_ledger_line_is_the_record_encoded_once(
+        self, tmp_path, some_pairs
+    ):
+        # With metrics on, the record carries a registry dump as well.
+        obs.enable()
+        runner = SuiteRunner(
+            sample_ops=OPS, workers=1, cache_dir=tmp_path / "cache"
+        )
+        runner.run(some_pairs)
+        record = runner.last_run_record
+        assert record["metrics"]
+        (line,) = runner.ledger.path.read_bytes().splitlines(keepends=True)
+        assert json.loads(line) == record
+        assert line == (canonical_json(record) + "\n").encode("utf-8")
+        rest = {k: v for k, v in record.items() if k != "run_id"}
+        assert record["run_id"] == content_hash(rest)[:12]
+        # Written once: the record the runner keeps holds no line.
+        assert not hasattr(record, "line")
+
+    def test_a_copied_record_is_encoded_afresh(self, tmp_path, sweep):
+        runner, result = sweep
+        record = build_run_record(
+            manifest=result.manifest, reports=result.reports,
+            config=runner.config, sample_ops=OPS, warmup_fraction=0.15,
+            engine="vector", timestamp=123.0,
+        )
+        for copied in (copy.copy(record), copy.deepcopy(record),
+                       dict(record)):
+            assert type(copied) is dict and copied == record
+        changed = copy.deepcopy(record)
+        changed["pairs"].clear()
+        ledger = RunLedger(path=tmp_path / "l.jsonl")
+        ledger.append(changed)
+        assert ledger.runs() == [changed]
 
     def test_comparability_key_ignores_code_version(self):
         base = synthetic_record()

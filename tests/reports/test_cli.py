@@ -261,7 +261,7 @@ class TestTraceAnalysisCli:
         out = capsys.readouterr().out
         default = str(traced) + ".chrome.json"
         assert default in out
-        document = json.loads(open(default, encoding="utf-8").read())
+        document = json.loads(Path(default).read_text(encoding="utf-8"))
         assert document["displayTimeUnit"] == "ms"
         names = {e["name"] for e in document["traceEvents"]}
         assert "pair.run" in names and "process_name" in names

@@ -71,12 +71,57 @@ class TestCachedRuns:
         runner = make_runner(tmp_path)
         runner.run(some_pairs)
         cache = ResultCache(tmp_path / "cache")
-        for path in (tmp_path / "cache").glob("*.json"):
-            path.write_text("{broken")
-        rerun = make_runner(tmp_path).run(some_pairs)
+        (shard,) = (tmp_path / "cache").glob("shard-*.jsonl")
+        shard.write_text("{broken\n" * len(some_pairs))
+        with pytest.warns(UserWarning, match="not valid JSON"):
+            rerun = make_runner(tmp_path).run(some_pairs)
         assert rerun.manifest.cache_hits == 0
         assert len(rerun.reports) == len(some_pairs)
-        assert cache.entry_count() == len(some_pairs)  # rewritten
+        with pytest.warns(UserWarning, match="not valid JSON"):
+            assert cache.entry_count() == len(some_pairs)  # rewritten
+
+    def test_one_cache_serves_each_config_its_own_entries(
+        self, tmp_path, config, some_pairs
+    ):
+        cache = ResultCache(tmp_path / "cache")
+        runners = [
+            make_runner(tmp_path, cache=cache, config=c)
+            for c in (config, config.with_predictor("bimodal"))
+        ]
+        fresh = [runner.run(some_pairs) for runner in runners]
+        cached = [runner.run(some_pairs) for runner in runners]
+        assert len(list(cache.directory.glob("shard-*.jsonl"))) == 2
+        for first, second in zip(fresh, cached):
+            assert second.manifest.cache_hits == len(some_pairs)
+            for name, report in first.reports.items():
+                assert dict(report) == dict(second.reports[name])
+        assert any(
+            dict(fresh[0].reports[name]) != dict(fresh[1].reports[name])
+            for name in fresh[0].reports
+        )
+
+    @pytest.mark.parametrize("bad", [b"{broken", b"\xff", b'{"key": "'],
+                             ids=["corrupt", "non-utf8", "truncated"])
+    def test_bad_shard_line_is_resimulated_and_appended_again(
+        self, tmp_path, some_pairs, bad
+    ):
+        make_runner(tmp_path).run(some_pairs)
+        (shard,) = (tmp_path / "cache").glob("shard-*.jsonl")
+        lines = shard.read_bytes().splitlines()
+        # The last pair's line, torn or mangled: a killed writer's tail.
+        shard.write_bytes(b"".join(line + b"\n" for line in lines[:-1]) + bad)
+        with pytest.warns(UserWarning, match=r"cache shard .*:%d is not"
+                          % len(lines)):
+            rerun = make_runner(tmp_path).run(some_pairs)
+        assert rerun.manifest.cache_misses == 1
+        assert rerun.manifest.records[-1].cached is False
+        with pytest.warns(UserWarning, match="is not valid JSON") as caught:
+            third = make_runner(tmp_path).run(some_pairs)
+        # Attributed to the code that ran the sweep, not to the runner.
+        assert {w.filename for w in caught} == {__file__}
+        assert third.manifest.cache_hits == len(some_pairs)
+        for name, report in third.reports.items():
+            assert dict(report) == dict(rerun.reports[name])
 
 
 class TestParallelism:
@@ -290,12 +335,16 @@ class TestCounterConsistencyGate:
         assert first.manifest.cache_misses == 1
 
         cache = ResultCache(tmp_path / "cache")
+        engine = runner.make_session().resolved_engine
         key = cache.key(
             runner.config, mcf_ref, OPS, runner.warmup_fraction,
-            engine=runner.make_session().resolved_engine,
+            engine=engine,
         )
-        poisoned = self.corrupt(cache.load(key))
-        cache.store(key, mcf_ref.pair_name, poisoned)
+        shard = cache.shard(
+            runner.config, OPS, runner.warmup_fraction, engine=engine
+        )
+        poisoned = self.corrupt(cache.load(key, shard))
+        cache.store(key, mcf_ref.pair_name, poisoned, shard)
 
         rerun = make_runner(tmp_path).run([mcf_ref])
         assert rerun.manifest.cache_hits == 0
