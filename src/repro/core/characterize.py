@@ -1,8 +1,9 @@
 """Suite characterization: run every pair, collect metrics.
 
-A :class:`Characterizer` wraps a :class:`~repro.perf.session.PerfSession`
-and memoizes per-pair reports, so the ten tables/figures that all consume
-the same 194-pair characterization share a single simulation pass.
+A :class:`Characterizer` collects through a
+:class:`~repro.runner.SuiteRunner` and memoizes per-pair reports, so the
+ten tables/figures that all consume the same 194-pair characterization
+share a single simulation pass.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..errors import CollectionError, SimulationError
 from ..perf.report import CounterReport
-from ..perf.session import DEFAULT_SAMPLE_OPS, PerfSession
 from ..workloads.profile import InputSize, MiniSuite, WorkloadProfile
 from ..workloads.suite import BenchmarkSuite
 from .metrics import PairMetrics
@@ -24,33 +24,24 @@ class Characterizer:
     """Characterizes benchmark suites on one system configuration.
 
     Args:
-        session: The perf session to collect with (default: Table-I config).
-        strict_errors: Propagate the paper's five collection failures as
+        strict_errors: Record the paper's five collection failures as
             :class:`~repro.errors.CollectionError` instead of collecting
             model counters for those pairs.
-        runner: Optional :class:`~repro.runner.SuiteRunner`; bulk
-            characterization then goes through its process pool and
-            on-disk cache instead of the serial in-process session.
+        runner: The :class:`~repro.runner.SuiteRunner` to collect with;
+            its config and sample parameters are the characterization's.
+            Default: an inline runner on the Table-I config with no
+            cache and no ledger.
     """
 
     def __init__(
         self,
-        session: Optional[PerfSession] = None,
         strict_errors: bool = False,
         runner: Optional["SuiteRunner"] = None,
     ):
-        if session is None and runner is not None:
-            session = runner.make_session()
-        self.session = session or PerfSession(sample_ops=DEFAULT_SAMPLE_OPS)
-        if runner is not None and (
-            runner.config != self.session.config
-            or runner.sample_ops != self.session.sample_ops
-            or runner.warmup_fraction != self.session.warmup_fraction
-        ):
-            raise SimulationError(
-                "runner and session disagree on collection parameters; "
-                "their counters would be inconsistent"
-            )
+        if runner is None:
+            from ..runner import SuiteRunner
+
+            runner = SuiteRunner(workers=1, use_cache=False, use_ledger=False)
         self.runner = runner
         self.strict_errors = strict_errors
         self._reports: Dict[str, CounterReport] = {}
@@ -64,16 +55,10 @@ class Characterizer:
     def report(self, profile: WorkloadProfile) -> CounterReport:
         """The (memoized) counter report of one pair."""
         key = profile.pair_name
+        if key not in self._reports and key not in self._failures:
+            self.collect([profile])
         if key in self._failures:
             raise self._failures[key]
-        if key not in self._reports:
-            try:
-                self._reports[key] = self.session.run(
-                    profile, strict_errors=self.strict_errors
-                )
-            except CollectionError as error:
-                self._failures[key] = error
-                raise
         return self._reports[key]
 
     def metrics(self, profile: WorkloadProfile) -> PairMetrics:
@@ -108,13 +93,7 @@ class Characterizer:
         return results
 
     def collect(self, profiles: List[WorkloadProfile]) -> None:
-        """Characterize not-yet-memoized profiles in one runner call.
-
-        A no-op without a runner: :meth:`report` then simulates each
-        pair on demand through the session.
-        """
-        if self.runner is None:
-            return
+        """Characterize not-yet-memoized profiles in one runner call."""
         missing = [
             profile
             for profile in profiles

@@ -99,7 +99,6 @@ __all__ = [
     "enable",
     "enabled",
     "export_chrome_trace",
-    "in_span",
     "load_spans",
     "observe",
     "paper_anchor_vector",
@@ -242,11 +241,6 @@ def record(name: str, wall_s: float = 0.0, **attrs: object) -> None:
     disabled)."""
     if _TRACER is not None:
         _TRACER.record(name, wall_s=wall_s, **attrs)
-
-
-def in_span(name: str) -> bool:
-    """Is the innermost active span named ``name``?  False when disabled."""
-    return _TRACER is not None and _TRACER.in_span(name)
 
 
 def count(name: str, amount: float = 1.0, help_text: str = "",

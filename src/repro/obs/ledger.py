@@ -38,6 +38,7 @@ once: ``run_id`` hashes those bytes, and the line is the same bytes with
 from __future__ import annotations
 
 import bisect
+import fcntl
 import hashlib
 import json
 import os
@@ -139,8 +140,12 @@ def append_line(path: Path, line: bytes) -> None:
     so concurrent appenders interleave whole lines and no descriptor
     outlives the call.  When the file does not end in a newline (a
     writer died mid-line), the line starts with one, so the torn line
-    never swallows this one.  Creates the parent directory on first
-    use; raises ``OSError`` when the file cannot be written.
+    never swallows this one.  An exclusive ``flock`` spans that check
+    and the write: without it the check can read the last byte while
+    another appender's line is still landing, and start this line with
+    a newline that leaves a blank line behind.  Creates the parent
+    directory on first use; raises ``OSError`` when the file cannot be
+    written.
     """
     flags = os.O_RDWR | os.O_CREAT | os.O_APPEND
     try:
@@ -150,6 +155,7 @@ def append_line(path: Path, line: bytes) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(str(path), flags, 0o644)
     try:
+        fcntl.flock(fd, fcntl.LOCK_EX)  # released by the close
         end = os.lseek(fd, 0, os.SEEK_END)
         if end and os.pread(fd, 1, end - 1) != b"\n":
             line = b"\n" + line

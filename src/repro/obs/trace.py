@@ -283,10 +283,6 @@ class Tracer:
         """Spans evicted from the ring buffer (still in the sink)."""
         return self._dropped
 
-    def in_span(self, name: str) -> bool:
-        """Is the *innermost* active span named ``name``?"""
-        return bool(self._stack) and self._stack[-1].name == name
-
     def finished(self) -> List[Dict[str, object]]:
         """Finished spans currently in the ring buffer (finish order)."""
         return list(self._buffer)

@@ -12,7 +12,7 @@ from typing import Dict, Optional
 
 from .. import obs
 from ..config import SystemConfig, haswell_e5_2650l_v3
-from ..errors import CollectionError, SimulationError
+from ..errors import SimulationError
 from ..uarch.core import CoreResult, SimulatedCore
 from ..workloads.calibrate import effective_parallelism
 from ..workloads.generator import TraceGenerator
@@ -58,35 +58,13 @@ class PerfSession:
         #: unsupported configuration fails at construction, not mid-sweep.
         self.resolved_engine = self._core.resolve_engine()
 
-    def run(
-        self,
-        profile: WorkloadProfile,
-        strict_errors: bool = False,
-    ) -> CounterReport:
+    def run(self, profile: WorkloadProfile) -> CounterReport:
         """Run one pair and return its scaled counter report.
 
-        Args:
-            profile: The application-input pair to characterize.
-            strict_errors: If True, raise :class:`CollectionError` for the
-                pairs whose perf collection failed in the paper instead of
-                collecting model counters for them.
+        Opens only the stage spans; the :class:`~repro.runner.SuiteRunner`
+        that calls it opens the pair's ``pair.run`` and applies strict
+        mode before any session runs.
         """
-        if strict_errors and profile.collection_error:
-            raise CollectionError(
-                profile.pair_name,
-                "perf reported collection errors for this pair in the paper",
-            )
-        # The SuiteRunner opens the per-pair span itself (it knows the
-        # cache outcome and attempt count) and wraps retry attempts in
-        # pair.retry; under either, the stage spans nest directly.  A
-        # session called directly opens its own pair.run so standalone
-        # traces still group by pair.
-        if obs.in_span("pair.run") or obs.in_span("pair.retry"):
-            return self._run_measured(profile)
-        with obs.profile("pair.run", pair=profile.pair_name):
-            return self._run_measured(profile)
-
-    def _run_measured(self, profile: WorkloadProfile) -> CounterReport:
         with obs.profile("trace.gen", ops=self.sample_ops) as span:
             trace = self._generator.generate(profile, n_ops=self.sample_ops)
             span.set("loads", trace.n_loads).set("stores", trace.n_stores)

@@ -596,6 +596,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     metrics = getattr(args, "metrics", False)
     profile_stages = tuple(getattr(args, "profile_stage", None) or ())
     profile_out = getattr(args, "profile_out", None)
+    if profile_out and not profile_stages:
+        # The profiler runs only inside --profile-stage stages; without
+        # one there is no profile to write.
+        print("error: --profile-out requires --profile-stage",
+              file=sys.stderr)
+        return 1
     obs_on = (
         args.command in _SWEEP_COMMANDS
         and (trace_path or metrics or profile_stages)

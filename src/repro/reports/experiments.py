@@ -19,7 +19,6 @@ from ..core.features import FEATURE_NAMES
 from ..core.metrics import PairMetrics
 from ..core.subset import SubsetResult, SubsetSelector
 from ..errors import ExperimentError
-from ..perf.session import PerfSession
 from ..runner import SuiteRunner
 from ..stats.factor import factor_loadings
 from ..workloads.profile import InputSize, MiniSuite
@@ -51,18 +50,14 @@ class ExperimentContext:
 
     Builds the characterizer, both suite registries, and the subset
     selector exactly once, so running all twenty experiments costs a single
-    194-pair characterization pass.  Passing a
-    :class:`~repro.runner.SuiteRunner` routes that pass through its
-    process pool and on-disk result cache.
+    194-pair characterization pass.  That pass goes through ``runner``
+    (its pool and result cache), or the characterizer's inline,
+    uncached default runner when none is given.
     """
 
-    def __init__(
-        self,
-        session: Optional[PerfSession] = None,
-        runner: Optional["SuiteRunner"] = None,
-    ):
-        self.runner = runner
-        self.characterizer = Characterizer(session=session, runner=runner)
+    def __init__(self, runner: Optional[SuiteRunner] = None):
+        self.characterizer = Characterizer(runner=runner)
+        self.runner = self.characterizer.runner
         self.selector = SubsetSelector(self.characterizer)
         self.suite17 = cpu2017()
         self.suite06 = cpu2006()
@@ -116,7 +111,7 @@ class ExperimentContext:
 # ---------------------------------------------------------------------------
 
 def _table1(ctx: ExperimentContext) -> ExperimentResult:
-    config = ctx.characterizer.session.config
+    config = ctx.runner.config
     rows = config.table1_rows()
     text = format_table(["Component", "Configuration"], rows, align="ll")
     return ExperimentResult(

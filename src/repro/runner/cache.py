@@ -17,7 +17,7 @@ stale entries are never *reused* — they are simply unreachable until
 :meth:`ResultCache.clear` garbage-collects them.
 
 Entries live in one append-only JSONL shard per *sweep identity*: the key
-material minus the profile.  A sweep reads its shard once
+material minus the profile.  A runner reads its shard once
 (:meth:`ResultCache.shard`), serves every lookup from memory, and appends
 one line per newly simulated pair.  Shards keep the run ledger's
 durability contract (:func:`~repro.obs.ledger.append_line`,
@@ -66,8 +66,9 @@ class CacheShard:
     """One sweep identity's shard file and the entries read from it.
 
     ``entries`` maps each key to its last well-formed line, as the file
-    stood when :meth:`ResultCache.shard` read it; stores append to the
-    file only.
+    stood when :meth:`ResultCache.shard` read it.  A store appends to the
+    file only; a runner that keeps the shard adds the entry
+    :meth:`ResultCache.store` returns.
     """
 
     path: Path
@@ -161,8 +162,9 @@ class ResultCache:
         pair_name: str,
         values: Dict[str, float],
         shard: CacheShard,
-    ) -> Path:
-        """Append one pair's counter values to ``shard`` as one line.
+    ) -> Dict[str, object]:
+        """Append one pair's counter values to ``shard`` as one line, and
+        return the entry that line holds.
 
         The line also names the code version, which the shard's file
         name only hashes, so stale shards can be found by reading them.
@@ -176,7 +178,7 @@ class ResultCache:
         }
         line = json.dumps(entry, sort_keys=True, separators=(",", ":"))
         append_line(shard.path, (line + "\n").encode("utf-8"))
-        return shard.path
+        return entry
 
     def _files(self) -> List[Path]:
         """Every shard, plus the ``<key>.json`` files of the

@@ -1,7 +1,7 @@
 """Parallel, cached, fault-tolerant characterization of pair sweeps.
 
-:class:`SuiteRunner` is the batch front door to
-:class:`~repro.perf.session.PerfSession`: it takes any set of
+:class:`SuiteRunner` is the one way a pair is characterized: it runs
+:class:`~repro.perf.session.PerfSession` on any set of
 application-input pairs, serves previously collected results from the
 on-disk :class:`~repro.runner.cache.ResultCache`, and fans the remaining
 pairs out over a ``concurrent.futures`` process pool.  Workers re-create
@@ -9,10 +9,13 @@ their own ``PerfSession`` from the picklable
 :class:`~repro.config.SystemConfig` plus the sample parameters, so only
 profiles and plain counter dictionaries ever cross the process boundary.
 
-A pair that fails — a :class:`~repro.errors.CollectionError` in strict
-mode, or any unexpected exception — never aborts the sweep: it gets one
-bounded retry (in the parent process, so a broken pool cannot take the
-sweep down with it) and then yields a structured :class:`PairFailure`.
+The runner alone owns the per-pair policy.  In strict mode a pair the
+paper failed to collect yields a ``CollectionError`` :class:`PairFailure`
+before any cache lookup or session runs.  Any other pair that fails never
+aborts the sweep: it gets one bounded retry (in the parent process, so a
+broken pool cannot take the sweep down with it) and then yields a
+structured :class:`PairFailure`.  The runner opens every ``pair.run``
+span, a pool task's included; a session opens only its stage spans.
 Every report additionally passes the counter-consistency gate
 (:meth:`~repro.perf.report.CounterReport.require_valid`): inconsistent
 counters from a worker become a ``PairFailure``, and inconsistent cache
@@ -78,11 +81,12 @@ def _init_worker(
 
 
 def _run_pair(
-    profile: WorkloadProfile, strict_errors: bool
+    profile: WorkloadProfile,
 ) -> Tuple[str, object, float, Dict[str, object]]:
     started = time.perf_counter()
     try:
-        report = _WORKER_SESSION.run(profile, strict_errors=strict_errors)
+        with obs.profile("pair.run", pair=profile.pair_name):
+            report = _WORKER_SESSION.run(profile)
         payload = ("ok", dict(report))
     except Exception as error:  # structured transport; parent retries
         payload = ("error", (type(error).__name__, str(error)))
@@ -285,15 +289,10 @@ class SuiteRunner:
         #: Cumulative counts across every ``run()`` call on this runner.
         self.total_cache_hits = 0
         self.total_cache_misses = 0
-
-    def make_session(self) -> PerfSession:
-        """A fresh ``PerfSession`` with this runner's collection setup."""
-        return PerfSession(
-            config=self.config,
-            sample_ops=self.sample_ops,
-            warmup_fraction=self.warmup_fraction,
-            engine=self.engine,
-        )
+        #: The shard of this runner's sweep identity, which is fixed at
+        #: construction: read by the first ``run()`` and kept, with every
+        #: later store added to its entries.
+        self._shard: Optional[CacheShard] = None
 
     # -- public entry points ----------------------------------------------
 
@@ -323,7 +322,6 @@ class SuiteRunner:
         keys: Dict[str, str] = {}
         pending: List[WorkloadProfile] = []
         done = 0
-        shard: Optional[CacheShard] = None
 
         def finish(record: PairRecord) -> None:
             nonlocal done
@@ -336,7 +334,9 @@ class SuiteRunner:
             if shard is None:
                 return
             try:
-                self.cache.store(keys[name], name, values, shard)
+                shard.entries[keys[name]] = self.cache.store(
+                    keys[name], name, values, shard
+                )
             except OSError:
                 # A cache write failure (read-only dir, full disk) must
                 # not sink a sweep whose counters are already in hand;
@@ -354,16 +354,17 @@ class SuiteRunner:
             # Phase 1: strict-mode precheck + cache lookups.  The collection
             # -error check runs *before* the cache so a strict sweep can
             # never serve counters for a pair the paper failed to collect.
-            # The shard is read once, before the first lookup: the read
-            # counts toward the sweep's wall time, not a hit's, and a hit
-            # does no file I/O.  Shards and keys use the *resolved* engine
-            # so "auto" shares entries with whichever concrete engine it
-            # resolves to.
-            if self.cache is not None:
-                shard = self.cache.shard(
+            # The shard is read once per runner, before its first sweep's
+            # first lookup: the read counts toward that sweep's wall time,
+            # not a hit's, and a hit does no file I/O.  Shards and keys use
+            # the *resolved* engine so "auto" shares entries with
+            # whichever concrete engine it resolves to.
+            if self.cache is not None and self._shard is None:
+                self._shard = self.cache.shard(
                     self.config, self.sample_ops, self.warmup_fraction,
                     engine=engine,
                 )
+            shard = self._shard
             hits = 0
             for profile in profiles:
                 name = profile.pair_name
@@ -418,15 +419,12 @@ class SuiteRunner:
             # inline.
             if pending:
                 if self.workers > 1 and len(pending) > 1:
-                    self._run_pooled(
-                        pending, strict_errors, reports, failures, store,
-                        finish,
-                    )
+                    self._run_pooled(pending, reports, failures, store, finish)
                 else:
                     for profile in pending:
                         self._run_with_retries(
-                            profile, strict_errors, reports, failures, store,
-                            finish, prior_attempts=0, prior_seconds=0.0,
+                            profile, reports, failures, store, finish,
+                            prior_attempts=0, prior_seconds=0.0,
                         )
 
             manifest = RunManifest(
@@ -560,7 +558,6 @@ class SuiteRunner:
     def _run_with_retries(
         self,
         profile: WorkloadProfile,
-        strict_errors: bool,
         reports: Dict[str, CounterReport],
         failures: List[PairFailure],
         store: StoreCallback,
@@ -573,8 +570,6 @@ class SuiteRunner:
         name = profile.pair_name
         attempts = prior_attempts
         seconds = prior_seconds
-        # The session sees an open pair.run span and nests its stage spans
-        # under it instead of opening its own (see PerfSession.run).
         with obs.profile("pair.run", pair=name, cache="miss") as pair_span:
             while attempts <= self.retries:
                 attempts += 1
@@ -588,13 +583,9 @@ class SuiteRunner:
                         with obs.profile(
                             "pair.retry", pair=name, attempt=attempts
                         ):
-                            report = self._session.run(
-                                profile, strict_errors=strict_errors
-                            )
+                            report = self._session.run(profile)
                     else:
-                        report = self._session.run(
-                            profile, strict_errors=strict_errors
-                        )
+                        report = self._session.run(profile)
                 except Exception as error:
                     seconds += time.perf_counter() - attempt_started
                     last_error = (type(error).__name__, str(error))
@@ -618,7 +609,6 @@ class SuiteRunner:
     def _run_pooled(
         self,
         pending: List[WorkloadProfile],
-        strict_errors: bool,
         reports: Dict[str, CounterReport],
         failures: List[PairFailure],
         store: StoreCallback,
@@ -639,7 +629,7 @@ class SuiteRunner:
             ),
         ) as pool:
             futures = {
-                pool.submit(_run_pair, profile, strict_errors): profile
+                pool.submit(_run_pair, profile): profile
                 for profile in pending
             }
             for future in as_completed(futures):
@@ -662,8 +652,8 @@ class SuiteRunner:
                     )
                 else:
                     self._run_with_retries(
-                        profile, strict_errors, reports, failures, store,
-                        finish, prior_attempts=1, prior_seconds=seconds,
+                        profile, reports, failures, store, finish,
+                        prior_attempts=1, prior_seconds=seconds,
                         last_error=tuple(payload),
                     )
         # Graft worker traces after the pool drains, in submission order,

@@ -14,6 +14,7 @@ from repro.core.characterize import Characterizer
 from repro.core.subset import SubsetSelector
 from repro.perf.session import PerfSession
 from repro.reports.experiments import ExperimentContext
+from repro.runner import SuiteRunner
 from repro.workloads.profile import InputSize
 from repro.workloads.spec2006 import cpu2006
 from repro.workloads.spec2017 import cpu2017
@@ -58,9 +59,18 @@ def session(config):
     return PerfSession(config=config, sample_ops=TEST_SAMPLE_OPS)
 
 
+def inline_runner(config):
+    """A runner like ``Characterizer()``'s default (one process, no cache,
+    no ledger) at the shared fixtures' sample size."""
+    return SuiteRunner(
+        config=config, sample_ops=TEST_SAMPLE_OPS, workers=1,
+        use_cache=False, use_ledger=False,
+    )
+
+
 @pytest.fixture(scope="session")
-def characterizer(session):
-    return Characterizer(session=session)
+def characterizer(config):
+    return Characterizer(runner=inline_runner(config))
 
 
 @pytest.fixture(scope="session")
@@ -69,8 +79,8 @@ def selector(characterizer):
 
 
 @pytest.fixture(scope="session")
-def ctx(session):
-    return ExperimentContext(session=session)
+def ctx(config):
+    return ExperimentContext(runner=inline_runner(config))
 
 
 @pytest.fixture(scope="session")

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core.characterize import Characterizer
-from repro.errors import CollectionError
+from repro.errors import CollectionError, SimulationError
+from repro.perf.session import PerfSession
 from repro.workloads.profile import InputSize, MiniSuite
+from tests.test_examples import load_example
 
 
 class TestMemoization:
@@ -56,25 +58,73 @@ class TestBenchmarkMeans:
         assert mcf == direct
 
 
+class TestDefaultRunner:
+    """``Characterizer()`` collects on an inline, uncached runner: the
+    same counters a bare session gives, with nothing on disk."""
+
+    @pytest.fixture(scope="class")
+    def default(self):
+        return Characterizer()
+
+    @pytest.mark.parametrize("name, size", [
+        ("505.mcf_r", InputSize.REF), ("525.x264_r", InputSize.TEST),
+    ])
+    def test_reports_match_a_bare_session(self, default, suite17, name, size):
+        profile = suite17.get(name).profile(size)
+        assert dict(default.report(profile)) == dict(
+            PerfSession().run(profile)
+        )
+
+    def test_custom_profile_matches_a_bare_session(self, default):
+        profile = load_example("custom_workload").kv_store_profile()
+        assert dict(default.report(profile)) == dict(
+            PerfSession().run(profile)
+        )
+
+    def test_runs_inline_and_writes_nothing(
+        self, tmp_path, monkeypatch, mcf_ref
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "ledger.jsonl"))
+        characterizer = Characterizer()
+        assert characterizer.runner.workers == 1
+        characterizer.report(mcf_ref)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failing_pair_is_retried_then_raised(self, mcf_ref):
+        characterizer = Characterizer()
+        calls = []
+
+        def broken(profile):
+            calls.append(profile.pair_name)
+            raise RuntimeError("injected failure")
+
+        characterizer.runner._session.run = broken
+        with pytest.raises(SimulationError, match="RuntimeError"):
+            characterizer.report(mcf_ref)
+        assert calls == [mcf_ref.pair_name] * 2
+
+
 class TestStrictErrors:
-    def test_strict_mode_records_failures(self, session, suite17):
-        strict = Characterizer(session=session, strict_errors=True)
+    def test_strict_mode_records_failures(self, suite17):
+        strict = Characterizer(strict_errors=True)
         cam4 = suite17.get("627.cam4_s").profile(InputSize.REF)
         with pytest.raises(CollectionError):
             strict.report(cam4)
         assert cam4.pair_name in strict.failures
 
-    def test_strict_characterize_skips_failures(self, session, suite17):
-        strict = Characterizer(session=session, strict_errors=True)
+    def test_strict_characterize_skips_failures(self, suite17):
+        strict = Characterizer(strict_errors=True)
         metrics = strict.characterize(
             suite17, size=InputSize.REF, mini_suite=MiniSuite.SPEED_FP
         )
         # 11 speed-fp ref pairs minus the cam4 failure.
         assert len(metrics) == 10
         assert all(m.benchmark != "627.cam4_s" for m in metrics)
+        assert strict.failures == ("627.cam4_s/ref",)
 
-    def test_strict_characterize_can_raise(self, session, suite17):
-        strict = Characterizer(session=session, strict_errors=True)
+    def test_strict_characterize_can_raise(self, suite17):
+        strict = Characterizer(strict_errors=True)
         with pytest.raises(CollectionError):
             strict.characterize(
                 suite17, size=InputSize.REF,

@@ -6,6 +6,7 @@ and attributes exactly — the golden-tree guarantee.
 """
 
 import json
+import os
 
 import pytest
 
@@ -122,7 +123,7 @@ class TestWorkerFailureTrace:
             sample_ops=SAMPLE_OPS, workers=1, retries=1, use_cache=False
         )
 
-        def broken(profile, strict_errors=False):
+        def broken(profile):
             raise SimulationError("injected failure")
 
         runner._session.run = broken
@@ -149,7 +150,7 @@ class TestWorkerFailureTrace:
             sample_ops=SAMPLE_OPS, workers=1, retries=1, use_cache=False
         )
 
-        def broken(profile, strict_errors=False):
+        def broken(profile):
             raise SimulationError("injected failure")
 
         runner._session.run = broken
@@ -201,6 +202,68 @@ class TestPooledGraft:
         assert 'repro_engine_runs_total{engine="vector"} 2' in text
 
 
+class TestPooledFailureTrace:
+    def test_worker_failure_then_parent_retry(self, pairs, monkeypatch):
+        from repro.workloads.generator import TraceGenerator
+
+        parent_pid = os.getpid()
+        failing = pairs[0].pair_name
+        real_generate = TraceGenerator.generate
+
+        def generate(self, profile, *args, **kwargs):
+            # Fails in the forked pool workers only, so the parent's
+            # retry of the pair succeeds.
+            if os.getpid() != parent_pid and profile.pair_name == failing:
+                raise SimulationError("injected worker failure")
+            return real_generate(self, profile, *args, **kwargs)
+
+        monkeypatch.setattr(TraceGenerator, "generate", generate)
+        obs.enable()
+        runner = SuiteRunner(
+            sample_ops=SAMPLE_OPS, workers=2, use_cache=False
+        )
+        result = runner.run(pairs)
+        records = obs.tracer().finished()
+        obs.disable()
+        assert result.ok
+        assert [r.attempts for r in result.manifest.records] == [2, 1]
+
+        children = {}
+        for record in records:
+            children.setdefault(record["parent"], []).append(record)
+        (suite_span,) = children[None]
+        assert suite_span["name"] == "suite.run"
+        worker_run, parent_run = sorted(
+            (r for r in children[suite_span["id"]]
+             if r["attrs"]["pair"] == failing),
+            key=lambda r: r["t0_s"],
+        )
+        # The worker's failed attempt, grafted with its error...
+        assert worker_run["name"] == "pair.run"
+        assert worker_run["status"] == "error"
+        assert worker_run["attrs"]["worker"] is True
+        assert worker_run["attrs"]["error_type"] == "SimulationError"
+        assert [r["name"] for r in children[worker_run["id"]]] == [
+            "trace.gen"
+        ]
+        # ...then the parent's retry, one pair.retry with the full stages.
+        assert parent_run["name"] == "pair.run"
+        assert parent_run["status"] == "ok"
+        assert parent_run["attrs"]["attempts"] == 2
+        assert "worker" not in parent_run["attrs"]
+        (retry,) = children[parent_run["id"]]
+        assert retry["name"] == "pair.retry"
+        assert [r["name"] for r in sorted(
+            children[retry["id"]], key=lambda r: r["id"]
+        )] == TestGoldenSpanTree.COLD_STAGES
+        # The other pair ran once, in a worker.
+        (other,) = [
+            r for r in children[suite_span["id"]]
+            if r["attrs"]["pair"] == pairs[1].pair_name
+        ]
+        assert other["status"] == "ok" and other["attrs"]["worker"] is True
+
+
 class TestRetrySpanGraft:
     def test_retry_attempt_gets_own_parented_subtree(self, tmp_path, pairs):
         trace_path = tmp_path / "trace.jsonl"
@@ -211,11 +274,11 @@ class TestRetrySpanGraft:
         real_run = runner._session.run
         calls = {"n": 0}
 
-        def flaky(profile, strict_errors=False):
+        def flaky(profile):
             # Run the real stages, then fail once: the first attempt
             # leaves a full stage subtree behind before the retry.
             calls["n"] += 1
-            report = real_run(profile, strict_errors=strict_errors)
+            report = real_run(profile)
             if calls["n"] == 1:
                 raise SimulationError("injected transient failure")
             return report
@@ -249,9 +312,9 @@ class TestRetrySpanGraft:
         real_run = runner._session.run
         calls = {"n": 0}
 
-        def flaky(profile, strict_errors=False):
+        def flaky(profile):
             calls["n"] += 1
-            report = real_run(profile, strict_errors=strict_errors)
+            report = real_run(profile)
             if calls["n"] == 1:
                 raise SimulationError("injected transient failure")
             return report
@@ -348,7 +411,6 @@ class TestDisabledIsInert:
         obs.count("x")
         obs.set_gauge("x", 1.0)
         obs.observe("x", 1.0)
-        assert not obs.in_span("x")
         with obs.profile("x") as span:
             span.set("k", "v")
         assert obs.worker_payload() is None

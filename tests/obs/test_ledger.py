@@ -255,6 +255,34 @@ class TestRobustness:
             assert indices == sorted(indices)
             assert len(indices) == 200
 
+    def test_many_appenders_leave_no_blank_line(self, tmp_path):
+        """More appender processes than cores (at most 16): none mistakes
+        another's landing line for a torn one, which would leave a blank
+        line behind."""
+        path = tmp_path / "l.jsonl"
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from repro.obs.ledger import append_line\n"
+            "path = Path(sys.argv[1])\n"
+            "for i in range(250):\n"
+            "    append_line(path, (sys.argv[2] + 'x' * 1000 + '\\n')"
+            ".encode())\n"
+        )
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(path), str(tag)],
+                env=dict(os.environ),
+            )
+            for tag in range(min((os.cpu_count() or 1) + 2, 16))
+        ]
+        for proc in procs:
+            assert proc.wait(timeout=120) == 0
+        lines = path.read_bytes().split(b"\n")
+        assert lines.pop() == b""
+        assert len(lines) == 250 * len(procs)
+        assert all(line.endswith(b"x" * 1000) for line in lines)
+
 
 class TestRunRecord:
     def test_sweep_record_contents(self, sweep, some_pairs):

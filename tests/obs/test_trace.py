@@ -65,16 +65,6 @@ class TestSpanBasics:
         assert marker["wall_s"] == 0.5
         assert marker["attrs"] == {"pair": "x"}
 
-    def test_in_span_tracks_innermost_only(self):
-        tracer = Tracer()
-        assert not tracer.in_span("outer")
-        with tracer.span("outer"):
-            assert tracer.in_span("outer")
-            with tracer.span("inner"):
-                assert tracer.in_span("inner")
-                assert not tracer.in_span("outer")
-        assert tracer.active_depth == 0
-
     def test_out_of_order_finish_raises(self):
         tracer = Tracer()
         outer = tracer.span("outer").__enter__()

@@ -179,6 +179,22 @@ class TestObservabilityFlags:
         assert "Traceback" not in err
         assert not obs.enabled()
 
+    def test_profile_out_without_stage_is_one_error_line(
+        self, tmp_path, capsys
+    ):
+        collapsed = tmp_path / "p.collapsed"
+        assert main([
+            "run", "--pairs", "1", "--sample-ops", "5000", "--no-cache",
+            "--jobs", "1", "--profile-out", str(collapsed),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: --profile-out requires --profile-stage"
+        ]
+        assert captured.out == ""  # no pair ran
+        assert not collapsed.exists()
+        assert not obs.enabled()
+
     def test_trace_summarize_round_trip(self, tmp_path, capsys):
         trace_path = tmp_path / "t.jsonl"
         assert main([

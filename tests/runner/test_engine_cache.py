@@ -63,14 +63,6 @@ class TestSweeps:
             vector.report(profile.pair_name)
         )
 
-    def test_make_session_inherits_engine(self, profile):
-        runner = SuiteRunner(
-            workers=1, sample_ops=OPS, use_cache=False, engine="scalar"
-        )
-        session = runner.make_session()
-        assert session.engine == "scalar"
-        assert session.resolved_engine == "scalar"
-
     def test_pooled_workers_respect_engine(self, tmp_path, profile):
         # A 2-worker sweep exercises _init_worker's engine argument.
         other = cpu2017().get("519.lbm_r").profile(InputSize.REF)

@@ -57,6 +57,32 @@ class TestCachedRuns:
         other = make_runner(tmp_path, sample_ops=OPS * 2).run(some_pairs)
         assert other.manifest.cache_hits == 0
 
+    def test_runner_reads_its_shard_once(
+        self, tmp_path, some_pairs, monkeypatch
+    ):
+        reads = []
+        real_shard = ResultCache.shard
+
+        def shard(self, *args, **kwargs):
+            reads.append(args)
+            return real_shard(self, *args, **kwargs)
+
+        monkeypatch.setattr(ResultCache, "shard", shard)
+        runner = make_runner(tmp_path)
+        first = runner.run(some_pairs[:3])
+        second = runner.run(some_pairs)
+        assert len(reads) == 1
+        assert first.manifest.cache_misses == 3
+        # The first sweep's stores are the second's hits.
+        assert [r.cached for r in second.manifest.records] == [
+            True, True, True, False, False, False,
+        ]
+        for name, report in first.reports.items():
+            assert dict(second.reports[name]) == dict(report)
+        third = runner.run(some_pairs)
+        assert third.manifest.cache_hits == len(some_pairs)
+        assert len(reads) == 1
+
     def test_runner_matches_plain_session(self, tmp_path, config, some_pairs):
         runner = make_runner(tmp_path, config=config)
         result = runner.run(some_pairs)
@@ -180,11 +206,11 @@ class TestFaultTolerance:
         real_run = runner._session.run
         calls = []
 
-        def flaky(profile, strict_errors=False):
+        def flaky(profile):
             calls.append(profile.pair_name)
             if len(calls) == 1:
                 raise RuntimeError("transient worker death")
-            return real_run(profile, strict_errors=strict_errors)
+            return real_run(profile)
 
         runner._session.run = flaky
         result = runner.run([mcf_ref])
@@ -195,7 +221,7 @@ class TestFaultTolerance:
     def test_persistent_failure_becomes_pair_failure(self, tmp_path, mcf_ref):
         runner = make_runner(tmp_path, use_cache=False, retries=1)
 
-        def broken(profile, strict_errors=False):
+        def broken(profile):
             raise RuntimeError("always broken")
 
         runner._session.run = broken
@@ -247,7 +273,10 @@ class TestCharacterizerIntegration:
     def test_runner_backed_characterizer_matches_serial(
         self, tmp_path, config, suite17
     ):
-        serial = Characterizer(session=PerfSession(config=config, sample_ops=OPS))
+        serial = Characterizer(runner=SuiteRunner(
+            config=config, sample_ops=OPS, workers=1, use_cache=False,
+            use_ledger=False,
+        ))
         backed = Characterizer(runner=make_runner(tmp_path, config=config))
         a = serial.characterize(suite17, size=InputSize.REF)
         b = backed.characterize(suite17, size=InputSize.REF)
@@ -264,12 +293,6 @@ class TestCharacterizerIntegration:
         assert "627.cam4_s/ref" in backed.failures
         assert all(m.pair_name != "627.cam4_s/ref" for m in metrics)
 
-    def test_mismatched_session_and_runner_fail_loudly(self, tmp_path, config):
-        session = PerfSession(config=config, sample_ops=OPS * 2)
-        with pytest.raises(SimulationError):
-            Characterizer(
-                session=session, runner=make_runner(tmp_path, config=config)
-            )
 
 
 class TestCounterConsistencyGate:
@@ -299,7 +322,7 @@ class TestCounterConsistencyGate:
         reference = dict(PerfSession(sample_ops=OPS).run(mcf_ref))
         bad = self.corrupt(reference)
 
-        def run_bad(profile, strict_errors=False):
+        def run_bad(profile):
             # Bypass the session-level gate to prove the runner has its own.
             return CounterReport(profile, bad)
 
@@ -324,7 +347,7 @@ class TestCounterConsistencyGate:
         bad = self.corrupt(dict(PerfSession(sample_ops=OPS).run(mcf_ref)))
         monkeypatch.setattr(
             runner._session, "run",
-            lambda profile, strict_errors=False: CounterReport(profile, bad),
+            lambda profile: CounterReport(profile, bad),
         )
         runner.run([mcf_ref])
         assert ResultCache(tmp_path / "cache").entry_count() == 0
@@ -335,7 +358,7 @@ class TestCounterConsistencyGate:
         assert first.manifest.cache_misses == 1
 
         cache = ResultCache(tmp_path / "cache")
-        engine = runner.make_session().resolved_engine
+        engine = runner._session.resolved_engine
         key = cache.key(
             runner.config, mcf_ref, OPS, runner.warmup_fraction,
             engine=engine,
