@@ -20,7 +20,9 @@ The sweep options (``--sample-ops``, ``--jobs``, ``--no-cache``,
 ``--cache-dir``, ``--engine``) and the observability options (``--trace``,
 ``--metrics``) are accepted both before and after the subcommand:
 ``repro --jobs 4 run all`` and ``repro run all --jobs 4`` are equivalent,
-with the subcommand position winning when both are given.
+with the subcommand position winning when both are given.  The other
+subcommands open no spans, so they reject the observability options
+(``repro obs check --metrics`` is a flag of its own).
 """
 
 from __future__ import annotations
@@ -308,8 +310,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--fail-on-wall", action="store_true",
         help="escalate wall-time outliers from warnings to failures",
     )
+    # Its own dest: the top-level --metrics is a sweep option.
     check.add_argument(
-        "--metrics", action="store_true",
+        "--metrics", action="store_true", dest="score_metrics",
         help="also print the watchdog scores as Prometheus metrics",
     )
     return parser
@@ -485,7 +488,7 @@ def _cmd_obs(args) -> int:
         dataclasses.replace(DriftThresholds(), **overrides)
         if overrides else None
     )
-    registry = MetricsRegistry() if args.metrics else None
+    registry = MetricsRegistry() if args.score_metrics else None
     report = check_ledger(ledger, thresholds=thresholds, registry=registry)
     if report is None:
         print("ledger %s holds no runs; nothing to check" % ledger.path)
@@ -596,16 +599,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     metrics = getattr(args, "metrics", False)
     profile_stages = tuple(getattr(args, "profile_stage", None) or ())
     profile_out = getattr(args, "profile_out", None)
+    if args.command not in _SWEEP_COMMANDS:
+        # Only sweeps open spans: anywhere else these would record nothing.
+        for flag, value in (("--trace", trace_path), ("--metrics", metrics),
+                            ("--profile-stage", profile_stages),
+                            ("--profile-out", profile_out)):
+            if value:
+                print("error: %s applies only to %s and %s"
+                      % (flag, ", ".join(_SWEEP_COMMANDS[:-1]),
+                         _SWEEP_COMMANDS[-1]), file=sys.stderr)
+                return 1
     if profile_out and not profile_stages:
         # The profiler runs only inside --profile-stage stages; without
         # one there is no profile to write.
         print("error: --profile-out requires --profile-stage",
               file=sys.stderr)
         return 1
-    obs_on = (
-        args.command in _SWEEP_COMMANDS
-        and (trace_path or metrics or profile_stages)
-    )
+    obs_on = bool(trace_path or metrics or profile_stages)
     status = 1
     format_warning = warnings.formatwarning
     warnings.formatwarning = _warning_line

@@ -50,13 +50,7 @@ import numpy as np
 from .. import obs
 from ..config import SystemConfig
 from ..errors import SimulationError
-from ..workloads.generator import (
-    BR_CONDITIONAL,
-    KIND_BRANCH,
-    KIND_LOAD,
-    KIND_STORE,
-    SyntheticTrace,
-)
+from ..workloads.generator import KIND_STORE, SyntheticTrace
 from .branch import PredictorStats, make_predictor
 from .cache import EMPTY, CacheStats
 from .hierarchy import HierarchyStats
@@ -252,8 +246,7 @@ def analyze_trace(config: SystemConfig, trace: SyntheticTrace):
     region; larger line sets are proved without the memo, which keeps
     its entries small.
     """
-    kind = trace.kind
-    mem_idx = np.flatnonzero((kind == KIND_LOAD) | (kind == KIND_STORE))
+    mem_idx = trace.mem_idx
     addrs = trace.addr[mem_idx]
     regions = trace.region[mem_idx]
     if mem_idx.size:
@@ -496,15 +489,17 @@ def _conditional_predictions(
         return _counter_predictions(indices, taken)
     if predictor_name == "tournament":
         # The bimodal table and the chooser share one index stream
-        # (site & mask with equal masks) — group once, scan twice.
+        # (site & mask with equal masks) — group once, scan twice.  Both
+        # counter tables train on the same steps.
         site_groups = _KeyGroups(sites & proto._bimodal._mask)
-        bimodal = site_groups.counter_states(_taken_steps(taken)) >= 2
-        gshare = _counter_predictions(
+        taken_steps = _taken_steps(taken)
+        bimodal = site_groups.counter_states(taken_steps) >= 2
+        gshare = _grouped_counter_states(
             _gshare_indices(
                 sites, taken, proto._gshare._mask, proto._gshare._history_mask
             ),
-            taken,
-        )
+            taken_steps,
+        ) >= 2
         bimodal_correct = bimodal == taken
         gshare_correct = gshare == taken
         # Chooser: 2-bit counter per site, trained only on disagreement:
@@ -533,7 +528,6 @@ def execute_vector(
     (recomputed when omitted).  Given a supported config/trace pair the
     result is bit-identical to the scalar engine's measurement.
     """
-    kind = trace.kind
     if hit_levels is None:
         with obs.profile("engine.vector.analyze"):
             reason, hit_levels = analyze_trace(config, trace)
@@ -544,13 +538,13 @@ def execute_vector(
 
     # ---- memory stream: one bincount over (hit level, is_store) codes ---
     mem_started = time.perf_counter() if obs.enabled() else 0.0
-    mem_idx = np.flatnonzero((kind == KIND_LOAD) | (kind == KIND_STORE))
+    mem_idx = trace.mem_idx
     n_mem = int(mem_idx.size)
     mem_warmup = int(n_mem * warmup_fraction)
     window_levels = hit_levels[
         trace.region[mem_idx[mem_warmup:]].astype(np.int64)
     ]
-    window_stores = kind[mem_idx[mem_warmup:]] == KIND_STORE
+    window_stores = trace.kind[mem_idx[mem_warmup:]] == KIND_STORE
     codes = np.bincount(
         (window_levels - 1) * 2 + window_stores, minlength=2 * _N_REGIONS
     )
@@ -589,13 +583,10 @@ def execute_vector(
 
     # ---- conditional branches: grouped automaton evaluation -------------
     branch_started = time.perf_counter() if obs.enabled() else 0.0
-    # Index once and take: boolean indexing with this scattered mask is
-    # several times slower than flatnonzero plus two integer takes.
-    cond_idx = np.flatnonzero(
-        (kind == KIND_BRANCH) & (trace.btype == BR_CONDITIONAL)
-    )
-    sites = trace.site[cond_idx].astype(np.int64)
-    taken = trace.taken[cond_idx]
+    # Integer takes: a boolean mask over the whole trace is several times
+    # slower.
+    sites = trace.site[trace.cond_idx].astype(np.int64)
+    taken = trace.taken[trace.cond_idx]
     n_cond = int(sites.shape[0])
     cond_warmup = min(
         n_cond // 2, max(int(n_cond * warmup_fraction), 2048)

@@ -15,6 +15,7 @@ met by construction rather than by hoping a random stream lands right.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -36,6 +37,10 @@ BR_DIRECT_JUMP = 1
 BR_DIRECT_CALL = 2
 BR_INDIRECT_JUMP = 3
 BR_INDIRECT_RETURN = 4
+
+#: Every kind in ``KIND_*`` order, and the number of branch subtypes.
+_KINDS = (KIND_ALU, KIND_LOAD, KIND_STORE, KIND_BRANCH)
+_N_SUBTYPES = BR_INDIRECT_RETURN + 1
 
 #: Sentinel for "not a branch" / "not a memory op".
 NO_BRANCH = 255
@@ -64,6 +69,15 @@ class SyntheticTrace:
     All arrays share one length (``n_ops``).  Non-memory ops carry
     ``addr == -1`` and ``region == NO_REGION``; non-branch ops carry
     ``btype == NO_BRANCH`` and ``site == -1``.
+
+    The op indices and counts below are derived from ``kind`` and
+    ``btype`` once per instance and shared, read-only, by every consumer.
+    Building a trace marks those two arrays read-only, so an edit raises
+    instead of leaving the derived values stale.  The values live in the
+    instance ``__dict__``, not in fields: ``dataclasses.replace``
+    (and with it :func:`~repro.phases.generator.slice_trace`) builds a
+    trace that derives its own.  :meth:`TraceGenerator.generate` hands
+    over the indices it computed on the way.
     """
 
     profile: WorkloadProfile
@@ -79,34 +93,67 @@ class SyntheticTrace:
     knobs: BranchKnobs
     seed: int
 
+    def __post_init__(self) -> None:
+        _read_only(self.kind)
+        _read_only(self.btype)
+
     @property
     def n_ops(self) -> int:
         return int(self.kind.shape[0])
+
+    @cached_property
+    def mem_idx(self) -> np.ndarray:
+        """Positions of the memory ops (loads and stores), ascending."""
+        kind = self.kind
+        return _read_only(
+            np.flatnonzero((kind == KIND_LOAD) | (kind == KIND_STORE))
+        )
+
+    @cached_property
+    def branch_idx(self) -> np.ndarray:
+        """Positions of the branch ops, ascending."""
+        return _read_only(np.flatnonzero(self.kind == KIND_BRANCH))
+
+    @cached_property
+    def cond_idx(self) -> np.ndarray:
+        """Positions of the conditional branches, ascending."""
+        branches = self.branch_idx
+        return _read_only(branches[self.btype[branches] == BR_CONDITIONAL])
+
+    @cached_property
+    def kind_counts(self) -> Tuple[int, int, int, int]:
+        """Op counts indexed by kind (ALU, load, store, branch)."""
+        return tuple(int(np.count_nonzero(self.kind == kind)) for kind in _KINDS)
+
+    @cached_property
+    def _subtype_counts(self) -> Tuple[int, int, int, int, int]:
+        counts = np.bincount(self.btype[self.branch_idx], minlength=_N_SUBTYPES)
+        return tuple(int(count) for count in counts[:_N_SUBTYPES])
 
     def count(self, kind: int) -> int:
         return int(np.count_nonzero(self.kind == kind))
 
     @property
     def n_loads(self) -> int:
-        return self.count(KIND_LOAD)
+        return self.kind_counts[KIND_LOAD]
 
     @property
     def n_stores(self) -> int:
-        return self.count(KIND_STORE)
+        return self.kind_counts[KIND_STORE]
 
     @property
     def n_branches(self) -> int:
-        return self.count(KIND_BRANCH)
+        return self.kind_counts[KIND_BRANCH]
 
     def branch_subtype_counts(self) -> Tuple[int, int, int, int, int]:
         """Executed-branch counts in counter order (cond, djmp, call, ijmp,
         iret)."""
-        branch_types = self.btype[self.kind == KIND_BRANCH]
-        return tuple(
-            int(np.count_nonzero(branch_types == subtype))
-            for subtype in (BR_CONDITIONAL, BR_DIRECT_JUMP, BR_DIRECT_CALL,
-                            BR_INDIRECT_JUMP, BR_INDIRECT_RETURN)
-        )
+        return self._subtype_counts
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _log2(value: int) -> int:
@@ -118,6 +165,11 @@ def _stratified_assign(n, fractions, labels, default_label, rng) -> np.ndarray:
 
     Everything left over gets ``default_label``.  Rounding is largest-
     remainder so totals always add up to ``n``.
+
+    The labels are built and shuffled at ``np.intp`` width and returned
+    as ``uint8``: ``Generator.shuffle`` swaps pointer-sized items
+    directly and other widths through a ``memcpy`` per swap, taking the
+    same draws either way (docs/methodology.md §2).
     """
     raw = [fraction * n for fraction in fractions]
     counts = [int(value) for value in raw]
@@ -127,13 +179,13 @@ def _stratified_assign(n, fractions, labels, default_label, rng) -> np.ndarray:
         if spare > 0 and raw[i] - counts[i] >= 0.5:
             counts[i] += 1
             spare -= 1
-    out = np.full(n, default_label, dtype=np.uint8)
+    out = np.full(n, default_label, dtype=np.intp)
     cursor = 0
     for label, count in zip(labels, counts):
         out[cursor:cursor + count] = label
         cursor += count
     rng.shuffle(out)
-    return out
+    return out.astype(np.uint8)
 
 
 class RegionLayout:
@@ -264,11 +316,11 @@ class TraceGenerator:
                 region[kind_idx] = choice
             # One cyclic cursor per region across the whole merged stream,
             # so interleaved loads and stores share each region's sweep.
+            mem_region = region[mem_idx]
             for region_id, lines in enumerate(self.layout.lines):
-                hits = np.flatnonzero(region[mem_idx] == region_id)
+                hits = np.flatnonzero(mem_region == region_id)
                 if hits.size:
-                    sequence = np.arange(hits.size) % len(lines)
-                    addr[mem_idx[hits]] = lines[sequence]
+                    addr[mem_idx[hits]] = np.resize(lines, hits.size)
 
         # --- footprint first-touch events ------------------------------------
         # Each memory op first-touches a page with the probability implied
@@ -295,12 +347,17 @@ class TraceGenerator:
         site = np.full(n_ops, -1, dtype=np.int32)
         taken = np.zeros(n_ops, dtype=bool)
         br_idx = np.flatnonzero(kind == KIND_BRANCH)
+        cond = br_idx
         if br_idx.size:
             subtype_cum = np.cumsum(np.asarray(mix.branch_mix.as_tuple()))
-            subtype = np.searchsorted(
-                subtype_cum, rng.random(br_idx.size) * subtype_cum[-1], side="right"
-            )
-            subtype = np.minimum(subtype, BR_INDIRECT_RETURN).astype(np.uint8)
+            draws = rng.random(br_idx.size) * subtype_cum[-1]
+            # np.searchsorted(subtype_cum, draws, side="right") capped at
+            # the last subtype: the count of the first four edges at or
+            # below each draw.  Four comparison passes beat one binary
+            # search per draw.
+            subtype = np.zeros(br_idx.size, dtype=np.uint8)
+            for edge in subtype_cum[:BR_INDIRECT_RETURN]:
+                subtype += draws >= edge
             btype[br_idx] = subtype
             # Unconditional branches are always taken.
             taken[br_idx] = True
@@ -324,7 +381,7 @@ class TraceGenerator:
                 hard_outcome = outcome_draws[1] < 0.5
                 taken[cond] = np.where(hard_mask, hard_outcome, easy_outcome)
 
-        return SyntheticTrace(
+        trace = SyntheticTrace(
             profile=profile,
             kind=kind,
             addr=addr,
@@ -338,3 +395,11 @@ class TraceGenerator:
             knobs=knobs,
             seed=seed,
         )
+        # Hand over the indices computed on the way, under the names (and
+        # with the dtypes) of their definitions.
+        vars(trace).update(
+            mem_idx=_read_only(mem_idx),
+            branch_idx=_read_only(br_idx),
+            cond_idx=_read_only(cond),
+        )
+        return trace

@@ -195,6 +195,35 @@ class TestObservabilityFlags:
         assert not collapsed.exists()
         assert not obs.enabled()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--trace", "{tmp}/t.jsonl", "list"], "--trace"),
+        (["--metrics", "list"], "--metrics"),
+        (["--profile-stage", "engine.exec", "lint", "{tmp}/empty.py"],
+         "--profile-stage"),
+        (["--profile-out", "{tmp}/p.txt", "list"], "--profile-out"),
+        (["--metrics", "trace", "summarize", "{tmp}/t.jsonl"], "--metrics"),
+        (["--trace", "{tmp}/t.jsonl", "obs", "history",
+          "--ledger", "{tmp}/ledger.jsonl"], "--trace"),
+        (["--metrics", "obs", "check", "--ledger", "{tmp}/ledger.jsonl"],
+         "--metrics"),
+    ], ids=["trace-list", "metrics-list", "profile-stage-lint",
+            "profile-out-list", "metrics-trace", "trace-obs-history",
+            "metrics-obs-check"])
+    def test_obs_option_on_a_command_without_spans_is_one_error_line(
+        self, argv, flag, tmp_path, capsys
+    ):
+        (tmp_path / "empty.py").write_text("")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: %s applies only to run, pair and phases" % flag
+        ]
+        assert captured.out == ""  # the command never ran
+        assert not (tmp_path / "t.jsonl").exists()
+        assert not (tmp_path / "p.txt").exists()
+        assert not obs.enabled()
+
     def test_trace_summarize_round_trip(self, tmp_path, capsys):
         trace_path = tmp_path / "t.jsonl"
         assert main([
