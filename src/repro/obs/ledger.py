@@ -2,8 +2,7 @@
 
 Every :meth:`~repro.runner.runner.SuiteRunner.run` sweep appends one
 JSON line to an on-disk ledger — config/engine/version hashes, the
-:class:`~repro.runner.runner.RunManifest` accounting, an optional
-:meth:`~repro.obs.metrics.MetricsRegistry.dump` snapshot, and a per-pair
+:class:`~repro.runner.runner.RunManifest` accounting, and a per-pair
 digest of the 20 microarchitecture-independent characteristics (the
 paper's Table VIII vector).  The drift watchdog (:mod:`repro.obs.drift`)
 reads this history back to compute robust baselines and flag runs whose
@@ -215,7 +214,6 @@ def build_run_record(
     sample_ops: int,
     warmup_fraction: float,
     engine: str,
-    metrics: Optional[Dict[str, object]] = None,
     timestamp: Optional[float] = None,
 ) -> RunRecord:
     """Assemble one sweep's ledger record (not yet appended).
@@ -237,7 +235,6 @@ def build_run_record(
         "sample_ops": sample_ops,
         "warmup_fraction": warmup_fraction,
         "manifest": manifest.as_dict(),
-        "metrics": metrics,
         "pairs": {
             name: characteristic_digest(report)
             for name, report in sorted(reports.items())

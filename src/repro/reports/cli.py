@@ -16,13 +16,15 @@ Subcommands::
     repro obs diff -2 -1            # per-characteristic deltas, run to run
     repro obs check                 # drift + paper-fidelity gate (CI)
 
-The sweep options (``--sample-ops``, ``--jobs``, ``--no-cache``,
-``--cache-dir``, ``--engine``) and the observability options (``--trace``,
-``--metrics``) are accepted both before and after the subcommand:
-``repro --jobs 4 run all`` and ``repro run all --jobs 4`` are equivalent,
-with the subcommand position winning when both are given.  The other
-subcommands open no spans, so they reject the observability options
-(``repro obs check --metrics`` is a flag of its own).
+Options follow the command they apply to: ``repro run all --jobs 4``.
+``run`` and ``pair`` take the sweep options (``--sample-ops``,
+``--no-cache``, ``--cache-dir``, ``--engine``), and ``run`` also takes
+``--jobs``, since ``pair`` runs one worker.  ``run``, ``pair`` and
+``phases``, the commands that open spans, take the observability options
+(``--trace``, ``--metrics``, ``--profile-stage``, ``--profile-out``).
+An option before the command, or on a command that does not read it, is
+a usage error (exit 2).  ``repro obs check --metrics`` is a flag of its
+own.
 """
 
 from __future__ import annotations
@@ -47,77 +49,68 @@ from .experiments import (
     run_experiment,
 )
 
-#: Subcommands that run sweeps and therefore accept the shared options.
-_SWEEP_COMMANDS = ("run", "pair", "phases")
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Reproduction of the SPEC CPU2017 workload "
+                    "characterization (ISPASS 2018)",
+        epilog="Options follow the command they apply to; "
+               "see 'repro COMMAND --help'.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    subparsers = parser.add_subparsers(dest="command", required=True)
 
-
-def _sweep_parent(top_level: bool) -> argparse.ArgumentParser:
-    """The shared ``--jobs``/``--cache-dir``/... option group.
-
-    Instantiated once with real defaults for the top-level parser and once
-    per sweep subcommand with ``SUPPRESS`` defaults: a subcommand copy only
-    writes into the namespace when the flag is explicitly present, so it
-    overrides the top-level value without clobbering it with a default.
-    """
-    def default(value):
-        return value if top_level else argparse.SUPPRESS
-
-    parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_argument_group("sweep options")
+    # The options a sweep reads.  `pair` runs one worker, so `--jobs` is
+    # `run`'s alone.
+    sweep = argparse.ArgumentParser(add_help=False)
+    group = sweep.add_argument_group("sweep options")
     group.add_argument(
         "--sample-ops",
         type=int,
-        default=default(DEFAULT_SAMPLE_OPS),
-        help="simulated micro-ops per pair (default %s)" % DEFAULT_SAMPLE_OPS,
-    )
-    group.add_argument(
-        "--jobs", "-j",
-        type=int,
-        default=default(None),
-        metavar="N",
-        help="worker processes for characterization sweeps "
-             "(default: CPU count)",
+        default=DEFAULT_SAMPLE_OPS,
+        help="simulated micro-ops per pair (default %(default)s)",
     )
     group.add_argument(
         "--no-cache",
         action="store_true",
-        default=default(False),
         help="bypass the on-disk result cache (read and write)",
     )
     group.add_argument(
         "--cache-dir",
         metavar="DIR",
-        default=default(None),
+        default=None,
         help="result-cache directory (default: $REPRO_CACHE_DIR or "
              "~/.cache/repro)",
     )
     group.add_argument(
         "--engine",
         choices=list(ENGINES),
-        default=default("auto"),
+        default="auto",
         help="trace-execution engine: the op-loop reference ('scalar'), "
              "the batched numpy fast path ('vector'), or pick the fast "
              "path whenever it is exact ('auto', default)",
     )
-    group = parent.add_argument_group("observability options")
+
+    # The options of the commands that open spans.
+    observe = argparse.ArgumentParser(add_help=False)
+    group = observe.add_argument_group("observability options")
     group.add_argument(
         "--trace",
         metavar="FILE",
-        default=default(None),
+        default=None,
         help="record the span tree to FILE as JSON Lines "
              "(see 'repro trace summarize')",
     )
     group.add_argument(
         "--metrics",
         action="store_true",
-        default=default(False),
         help="collect metrics and print a Prometheus-format dump on exit",
     )
     group.add_argument(
         "--profile-stage",
         action="append",
         metavar="STAGE",
-        default=default(None),
+        default=None,
         help="activate the span-scoped profiler inside this span stage "
              "(e.g. engine.exec; repeatable); prints a top-N function "
              "table on exit",
@@ -125,28 +118,15 @@ def _sweep_parent(top_level: bool) -> argparse.ArgumentParser:
     group.add_argument(
         "--profile-out",
         metavar="FILE",
-        default=default(None),
+        default=None,
         help="write the profile as collapsed stacks (flamegraph.pl "
              "format) to FILE",
     )
-    return parent
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Reproduction of the SPEC CPU2017 workload "
-                    "characterization (ISPASS 2018)",
-        parents=[_sweep_parent(top_level=True)],
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    subparsers = parser.add_subparsers(dest="command", required=True)
 
     subparsers.add_parser("list", help="list available experiments")
 
     run = subparsers.add_parser(
-        "run", help="run experiments",
-        parents=[_sweep_parent(top_level=False)],
+        "run", help="run experiments", parents=[sweep, observe],
     )
     run.add_argument("experiments", nargs="*",
                      help="experiment ids, or 'all'")
@@ -157,10 +137,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="instead of experiments: characterize the first N CPU2017 "
              "REF pairs and print the run manifest",
     )
+    run.add_argument(
+        "--jobs", "-j",
+        type=int,
+        default=None,
+        metavar="N",
+        help="worker processes for characterization sweeps "
+             "(default: CPU count)",
+    )
 
     pair = subparsers.add_parser(
         "pair", help="characterize one application",
-        parents=[_sweep_parent(top_level=False)],
+        parents=[sweep, observe],
     )
     pair.add_argument("name", help="benchmark name, e.g. 505.mcf_r")
     pair.add_argument("--size", default="ref", choices=["test", "train", "ref"])
@@ -170,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "phases",
         help="detect phases in a phased variant of one application "
              "(the paper's future work)",
-        parents=[_sweep_parent(top_level=False)],
+        parents=[observe],
     )
     phases.add_argument("name", help="benchmark name, e.g. 502.gcc_r")
     phases.add_argument(
@@ -310,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--fail-on-wall", action="store_true",
         help="escalate wall-time outliers from warnings to failures",
     )
-    # Its own dest: the top-level --metrics is a sweep option.
+    # Its own dest: `main` reads `metrics` as the observability option.
     check.add_argument(
         "--metrics", action="store_true", dest="score_metrics",
         help="also print the watchdog scores as Prometheus metrics",
@@ -324,10 +312,10 @@ def _cmd_list() -> int:
     return 0
 
 
-def _make_runner(args, workers: Optional[int] = None) -> SuiteRunner:
+def _make_runner(args, workers: Optional[int]) -> SuiteRunner:
     return SuiteRunner(
         sample_ops=args.sample_ops,
-        workers=workers if workers is not None else args.jobs,
+        workers=workers,
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
         engine=args.engine,
@@ -339,7 +327,7 @@ def _cmd_run_pairs(args) -> int:
     if args.pairs < 1:
         raise SimulationError("--pairs must be >= 1, got %d" % args.pairs)
     profiles = cpu2017().pairs(size=InputSize.REF)[: args.pairs]
-    runner = _make_runner(args)
+    runner = _make_runner(args, args.jobs)
     result = runner.run(profiles)
     for record in result.manifest.records:
         status = "cached" if record.cached else (
@@ -364,7 +352,7 @@ def _cmd_run(args) -> int:
     wanted: List[str] = args.experiments
     if wanted == ["all"]:
         wanted = list(EXPERIMENT_IDS)
-    runner = _make_runner(args)
+    runner = _make_runner(args, args.jobs)
     ctx = ExperimentContext(runner=runner)
     for exp_id in wanted:
         result = run_experiment(exp_id, ctx)
@@ -374,7 +362,13 @@ def _cmd_run(args) -> int:
             # Only here: a run without --output loads no CSV writer.
             from .export import export_result
 
-            for path in export_result(result, args.output):
+            try:
+                paths = export_result(result, args.output)
+            except OSError as error:
+                raise ReproError(
+                    "cannot write %s: %s" % (args.output, error)
+                ) from error
+            for path in paths:
                 print("wrote %s" % path)
             print()
     print(
@@ -389,7 +383,7 @@ def _cmd_pair(args) -> int:
     suite = cpu2017()
     benchmark = suite.get(args.name)
     profile = benchmark.profile(InputSize(args.size), args.input)
-    result = _make_runner(args, workers=1).run([profile])
+    result = _make_runner(args, 1).run([profile])
     if result.failures:
         failure = result.failures[0]
         raise SimulationError(
@@ -437,7 +431,12 @@ def _cmd_lint(args) -> int:
         return 2
     report = render(run.findings, args.format)
     if args.output:
-        Path(args.output).write_text(report + "\n", encoding="utf-8")
+        try:
+            Path(args.output).write_text(report + "\n", encoding="utf-8")
+        except OSError as error:
+            raise ReproError(
+                "cannot write %s: %s" % (args.output, error)
+            ) from error
         print("wrote %s report to %s" % (args.format, args.output),
               file=sys.stderr)
     else:
@@ -595,20 +594,11 @@ def _warning_line(message, category, filename, lineno, line=None) -> str:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    # Only the commands that open spans declare the observability options.
     trace_path = getattr(args, "trace", None)
     metrics = getattr(args, "metrics", False)
     profile_stages = tuple(getattr(args, "profile_stage", None) or ())
     profile_out = getattr(args, "profile_out", None)
-    if args.command not in _SWEEP_COMMANDS:
-        # Only sweeps open spans: anywhere else these would record nothing.
-        for flag, value in (("--trace", trace_path), ("--metrics", metrics),
-                            ("--profile-stage", profile_stages),
-                            ("--profile-out", profile_out)):
-            if value:
-                print("error: %s applies only to %s and %s"
-                      % (flag, ", ".join(_SWEEP_COMMANDS[:-1]),
-                         _SWEEP_COMMANDS[-1]), file=sys.stderr)
-                return 1
     if profile_out and not profile_stages:
         # The profiler runs only inside --profile-stage stages; without
         # one there is no profile to write.

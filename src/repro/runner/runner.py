@@ -454,13 +454,10 @@ class SuiteRunner:
         cache: a write failure never sinks a sweep)."""
         if self.ledger is None:
             return
-        registry = obs.registry()
-        metrics = registry.dump() if registry is not None else None
         started = time.perf_counter()
         record = build_run_record(
             manifest, reports, self.config, self.sample_ops,
             self.warmup_fraction, self._session.resolved_engine,
-            metrics=metrics,
         )
         try:
             self.ledger.append(record)

@@ -46,6 +46,14 @@ from .vector import EngineMeasurement
 ENGINES = ("scalar", "vector", "auto")
 
 
+def _check_engine(engine: str) -> str:
+    if engine not in ENGINES:
+        raise ConfigError(
+            "unknown engine %r (valid: %s)" % (engine, ", ".join(ENGINES))
+        )
+    return engine
+
+
 @dataclass(frozen=True)
 class CoreResult:
     """Everything measured from simulating one trace.
@@ -132,12 +140,8 @@ class SimulatedCore:
     def __init__(self, config: SystemConfig,
                  predictor: Optional[BranchPredictor] = None,
                  engine: str = "auto"):
-        if engine not in ENGINES:
-            raise ConfigError(
-                "unknown engine %r (valid: %s)" % (engine, ", ".join(ENGINES))
-            )
         self.config = config
-        self.engine = engine
+        self.engine = _check_engine(engine)
         self._predictor_override = predictor
         self._pipeline = PipelineModel(config)
 
@@ -163,19 +167,27 @@ class SimulatedCore:
         for the vector engine when it is unsupported raises, naming the
         precondition that failed; ``"auto"`` silently falls back.
         """
-        engine = engine or self.engine
-        if engine not in ENGINES:
-            raise ConfigError(
-                "unknown engine %r (valid: %s)" % (engine, ", ".join(ENGINES))
-            )
+        return self._choose_engine(trace, engine)[0]
+
+    def _choose_engine(
+        self, trace: Optional[SyntheticTrace], engine: Optional[str]
+    ) -> Tuple[str, Optional[np.ndarray]]:
+        """``(engine, hit levels)``: the engine :meth:`resolve_engine`
+        names, and the vector engine's hit levels for ``trace`` (None on
+        the scalar engine, or without a trace)."""
+        engine = _check_engine(engine or self.engine)
         if engine == "scalar":
-            return "scalar"
-        reason = self.vector_unsupported_reason(trace)
+            return "scalar", None
+        reason = self.vector_unsupported_reason()
+        hit_levels = None
+        if reason is None and trace is not None:
+            with obs.profile("engine.vector.analyze", ops=trace.n_ops):
+                reason, hit_levels = vector.analyze_trace(self.config, trace)
+        if reason is None:
+            return "vector", hit_levels
         if engine == "vector":
-            if reason is not None:
-                raise SimulationError("vector engine unsupported: " + reason)
-            return "vector"
-        return "scalar" if reason is not None else "vector"
+            raise SimulationError("vector engine unsupported: " + reason)
+        return "scalar", None
 
     def run(
         self,
@@ -189,26 +201,7 @@ class SimulatedCore:
             raise SimulationError("warmup_fraction must be in [0, 1)")
         if params is None:
             params = solve_pipeline_params(trace.profile, self.config)
-        engine = engine or self.engine
-        if engine not in ENGINES:
-            raise ConfigError(
-                "unknown engine %r (valid: %s)" % (engine, ", ".join(ENGINES))
-            )
-        hit_levels = None
-        if engine != "scalar":
-            reason = self.vector_unsupported_reason()
-            if reason is None:
-                with obs.profile("engine.vector.analyze", ops=trace.n_ops):
-                    reason, hit_levels = vector.analyze_trace(
-                        self.config, trace
-                    )
-            if reason is not None:
-                if engine == "vector":
-                    raise SimulationError(
-                        "vector engine unsupported: " + reason
-                    )
-                hit_levels = None  # auto: fall back to the op loop
-        engine_used = "vector" if hit_levels is not None else "scalar"
+        engine_used, hit_levels = self._choose_engine(trace, engine)
         with obs.profile(
             "engine.exec", engine=engine_used, ops=trace.n_ops
         ):

@@ -38,7 +38,6 @@ def make_record(run_id, pairs, wall_s=1.0, sample_ops=BIG_OPS, **overrides):
         "manifest": {"total_pairs": len(pairs), "cache_hits": 0,
                      "cache_misses": len(pairs), "failures": 0,
                      "wall_time_seconds": wall_s},
-        "metrics": None,
         "pairs": pairs,
     }
     record.update(overrides)

@@ -9,7 +9,6 @@ import warnings
 
 import pytest
 
-from repro import obs
 from repro.hashing import canonical_json, content_hash
 from repro.obs.drift import check_ledger
 from repro.obs.ledger import (
@@ -54,8 +53,8 @@ LEGACY_BENCH_RECORD = {
 
 
 #: A run line in the shape traced sweeps appended before the ledger
-#: dropped its ``critical_path_s`` and ``profile_digest`` fields; it
-#: matches :func:`synthetic_record`'s setup.
+#: dropped its ``metrics``, ``critical_path_s`` and ``profile_digest``
+#: fields; it matches :func:`synthetic_record`'s setup.
 LEGACY_ATTRIBUTED_RECORD = {
     "schema": 1,
     "kind": "run",
@@ -104,7 +103,6 @@ def synthetic_record(run_id="aaaabbbbcccc", time_s=100.0, **overrides):
         "warmup_fraction": 0.15,
         "manifest": {"total_pairs": 1, "cache_hits": 0, "cache_misses": 1,
                      "failures": 0, "wall_time_seconds": 1.0},
-        "metrics": None,
         "pairs": {"505.mcf_r/ref": {"inst_retired.any": 1e12}},
     }
     record.update(overrides)
@@ -316,14 +314,11 @@ class TestRunRecord:
     def test_ledger_line_is_the_record_encoded_once(
         self, tmp_path, some_pairs
     ):
-        # With metrics on, the record carries a registry dump as well.
-        obs.enable()
         runner = SuiteRunner(
             sample_ops=OPS, workers=1, cache_dir=tmp_path / "cache"
         )
         runner.run(some_pairs)
         record = runner.last_run_record
-        assert record["metrics"]
         (line,) = runner.ledger.path.read_bytes().splitlines(keepends=True)
         assert json.loads(line) == record
         assert line == (canonical_json(record) + "\n").encode("utf-8")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,14 +33,14 @@ class TestList:
 
 class TestPair:
     def test_characterizes_pair(self, capsys):
-        assert main(["--sample-ops", "5000", "pair", "505.mcf_r"]) == 0
+        assert main(["pair", "505.mcf_r", "--sample-ops", "5000"]) == 0
         out = capsys.readouterr().out
         assert "505.mcf_r/ref" in out
         assert "IPC" in out
 
     def test_size_and_input_flags(self, capsys):
         code = main([
-            "--sample-ops", "5000", "pair", "502.gcc_r",
+            "pair", "502.gcc_r", "--sample-ops", "5000",
             "--size", "test", "--input", "2",
         ])
         assert code == 0
@@ -52,12 +53,12 @@ class TestPair:
 
 class TestRun:
     def test_run_single_experiment(self, capsys):
-        assert main(["--sample-ops", "5000", "run", "table1"]) == 0
+        assert main(["run", "table1", "--sample-ops", "5000"]) == 0
         out = capsys.readouterr().out
         assert "Haswell" in out
 
     def test_run_unknown_experiment(self, capsys):
-        assert main(["--sample-ops", "5000", "run", "table42"]) == 1
+        assert main(["run", "table42", "--sample-ops", "5000"]) == 1
         assert "unknown experiment" in capsys.readouterr().err
 
 
@@ -77,37 +78,101 @@ class TestPhases:
         assert "error:" in capsys.readouterr().err
 
 
+#: The sweep and observability options, each with a value a command
+#: that reads it would accept.
+SWEEP_OPTIONS = {
+    "--sample-ops": ["5000"], "--jobs": ["1"], "--no-cache": [],
+    "--cache-dir": ["{tmp}/cache"], "--engine": ["scalar"],
+}
+OBS_OPTIONS = {
+    "--trace": ["{tmp}/t.jsonl"], "--metrics": [],
+    "--profile-stage": ["engine.exec"], "--profile-out": ["{tmp}/p.txt"],
+}
+OPTIONS = {**SWEEP_OPTIONS, **OBS_OPTIONS}
+
+#: The options each command reads; the other commands read none.
+READS = {
+    "run": set(OPTIONS),
+    "pair": set(OPTIONS) - {"--jobs"},
+    "phases": set(OBS_OPTIONS),
+}
+
+#: One valid invocation of each command.
+COMMANDS = {
+    "run": ["run", "table1"],
+    "pair": ["pair", "505.mcf_r"],
+    "phases": ["phases", "502.gcc_r"],
+    "list": ["list"],
+    "lint": ["lint", "{tmp}/empty.py"],
+    "trace": ["trace", "summarize", "{tmp}/t.jsonl"],
+    "obs": ["obs", "history", "--ledger", "{tmp}/ledger.jsonl"],
+}
+
+
+def misplaced_options():
+    """Every option before the command, every option on a command that
+    does not read it, and four such argv that once ran and exited 0."""
+    cases = [
+        pytest.param([option, *value, *COMMANDS["run"]],
+                     id="%s-before-run" % option.lstrip("-"))
+        for option, value in OPTIONS.items()
+    ]
+    cases += [
+        pytest.param([*argv, option, *value],
+                     id="%s-on-%s" % (option.lstrip("-"), command))
+        for command, argv in COMMANDS.items()
+        for option, value in OPTIONS.items()
+        if option not in READS.get(command, ())
+    ]
+    cases += [
+        pytest.param(["--jobs", "0", "list"], id="jobs-0-list"),
+        pytest.param(["--cache-dir", "{tmp}/cache", "obs", "history"],
+                     id="cache-dir-obs-history"),
+        pytest.param(["pair", "505.mcf_r", "--jobs", "0"], id="pair-jobs-0"),
+        pytest.param(["phases", "502.gcc_r", "--engine", "vector",
+                      "--sample-ops", "1", "--jobs", "0",
+                      "--cache-dir", "/nonexistent/x"], id="phases-sweep"),
+    ]
+    return cases
+
+
+def listed_options(argv, capsys):
+    """The long options in the usage of ``repro ARGV --help``."""
+    with pytest.raises(SystemExit):
+        main([*argv, "--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    return set(re.findall(r"--[a-z-]+", usage))
+
+
 class TestSharedFlags:
-    """The sweep options work before and after the subcommand."""
+    """Each option follows the command it applies to, and only the
+    commands that read an option declare it."""
 
     def test_flag_after_subcommand(self, capsys):
         assert main(["pair", "505.mcf_r", "--sample-ops", "5000"]) == 0
         assert "505.mcf_r/ref" in capsys.readouterr().out
 
-    def test_subcommand_position_wins(self, capsys):
-        # An explicit subcommand value overrides the top-level one ...
-        code = main([
-            "--sample-ops", "999999999", "pair", "505.mcf_r",
-            "--sample-ops", "5000", "--no-cache",
-        ])
-        assert code == 0
-        assert "505.mcf_r/ref" in capsys.readouterr().out
-
-    def test_top_level_value_survives_subcommand_defaults(self, capsys):
-        # ... but an absent subcommand flag must NOT clobber the
-        # top-level value with its default (SUPPRESS semantics).
-        code = main(["--engine", "scalar", "pair", "505.mcf_r",
-                     "--sample-ops", "5000", "--no-cache"])
-        assert code == 0
-
     @pytest.mark.parametrize("subcommand", ["run", "pair", "phases"])
     def test_sweep_flags_in_subcommand_help(self, subcommand, capsys):
-        with pytest.raises(SystemExit):
-            main([subcommand, "--help"])
-        out = capsys.readouterr().out
-        for flag in ("--jobs", "--no-cache", "--cache-dir", "--engine",
-                     "--trace", "--metrics"):
-            assert flag in out, "%s missing %s" % (subcommand, flag)
+        listed = listed_options([subcommand], capsys)
+        assert listed & set(OPTIONS) == READS[subcommand]
+
+    def test_top_level_help_lists_no_command_option(self, capsys):
+        assert listed_options([], capsys) == {"--version"}
+
+    @pytest.mark.parametrize("argv", misplaced_options())
+    def test_misplaced_option_is_a_usage_error(self, argv, tmp_path, capsys):
+        (tmp_path / "empty.py").write_text("")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # the command never ran
+        assert "error:" in captured.err
+        assert not (tmp_path / "t.jsonl").exists()
+        assert not (tmp_path / "p.txt").exists()
+        assert not obs.enabled()
 
 
 class TestRunPairs:
@@ -160,17 +225,26 @@ class TestObservabilityFlags:
          "--jobs", "1", "--profile-stage", "engine.exec",
          "--profile-out", "{missing}/p.txt"],
         ["trace", "export", "{trace}", "-o", "{missing}/x.json"],
-    ], ids=["trace", "profile-out", "export"])
+        ["lint", "{source}", "--output", "{missing}/x.txt"],
+        ["run", "table1", "--sample-ops", "5000", "--output",
+         "{missing}/out"],
+    ], ids=["trace", "profile-out", "export", "lint-output", "run-output"])
     def test_unwritable_output_path_is_one_error_line(
         self, argv, tmp_path, capsys
     ):
-        missing = tmp_path / "missing"
+        # Nothing can be made under a regular file, not even the
+        # directory that `run --output` creates.
+        (tmp_path / "file").write_text("")
+        missing = tmp_path / "file" / "missing"
+        source = tmp_path / "ok.py"
+        source.write_text("")
         trace = tmp_path / "t.jsonl"
         trace.write_text(json.dumps({
             "schema": 2, "id": 1, "parent": None, "name": "suite.run",
             "t0_s": 0.0, "wall_s": 0.1, "pid": 1, "status": "ok",
         }) + "\n")
-        argv = [arg.format(missing=missing, trace=trace) for arg in argv]
+        argv = [arg.format(missing=missing, trace=trace, source=source)
+                for arg in argv]
         assert main(argv) == 1
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines()
@@ -193,35 +267,6 @@ class TestObservabilityFlags:
         ]
         assert captured.out == ""  # no pair ran
         assert not collapsed.exists()
-        assert not obs.enabled()
-
-    @pytest.mark.parametrize("argv, flag", [
-        (["--trace", "{tmp}/t.jsonl", "list"], "--trace"),
-        (["--metrics", "list"], "--metrics"),
-        (["--profile-stage", "engine.exec", "lint", "{tmp}/empty.py"],
-         "--profile-stage"),
-        (["--profile-out", "{tmp}/p.txt", "list"], "--profile-out"),
-        (["--metrics", "trace", "summarize", "{tmp}/t.jsonl"], "--metrics"),
-        (["--trace", "{tmp}/t.jsonl", "obs", "history",
-          "--ledger", "{tmp}/ledger.jsonl"], "--trace"),
-        (["--metrics", "obs", "check", "--ledger", "{tmp}/ledger.jsonl"],
-         "--metrics"),
-    ], ids=["trace-list", "metrics-list", "profile-stage-lint",
-            "profile-out-list", "metrics-trace", "trace-obs-history",
-            "metrics-obs-check"])
-    def test_obs_option_on_a_command_without_spans_is_one_error_line(
-        self, argv, flag, tmp_path, capsys
-    ):
-        (tmp_path / "empty.py").write_text("")
-        argv = [arg.format(tmp=tmp_path) for arg in argv]
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.err.splitlines() == [
-            "error: %s applies only to run, pair and phases" % flag
-        ]
-        assert captured.out == ""  # the command never ran
-        assert not (tmp_path / "t.jsonl").exists()
-        assert not (tmp_path / "p.txt").exists()
         assert not obs.enabled()
 
     def test_trace_summarize_round_trip(self, tmp_path, capsys):

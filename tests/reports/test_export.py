@@ -67,7 +67,7 @@ class TestCLIOutput:
         from repro.reports.cli import main
 
         code = main([
-            "--sample-ops", "5000", "run", "table1",
+            "run", "table1", "--sample-ops", "5000",
             "--output", str(tmp_path),
         ])
         assert code == 0

@@ -22,7 +22,7 @@ class TestMainModule:
         assert result.returncode == 0
 
     def test_pair(self):
-        result = run_module("--sample-ops", "5000", "pair", "505.mcf_r")
+        result = run_module("pair", "505.mcf_r", "--sample-ops", "5000")
         assert result.returncode == 0
         assert "IPC" in result.stdout
 

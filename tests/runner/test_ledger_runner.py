@@ -40,27 +40,20 @@ class TestAutoAppend:
         runner.run(some_pairs)
         assert len(RunLedger(path=runner.ledger.path).runs()) == 2
 
-    def test_record_metrics_snapshot_when_obs_enabled(
+    def test_ledger_write_counted_when_obs_enabled(
         self, tmp_path, some_pairs
     ):
         obs.enable()
         try:
             runner = make_runner(tmp_path)
             runner.run(some_pairs)
-            record = runner.last_run_record
-            assert record["metrics"] is not None
-            assert "suite_runs_total" in record["metrics"]
+            assert "metrics" not in runner.last_run_record
             registry = obs.registry()
             assert registry.counter(
                 "ledger_writes_total"
             ).labels().value == 1.0
         finally:
             obs.disable()
-
-    def test_metrics_none_when_obs_disabled(self, tmp_path, some_pairs):
-        runner = make_runner(tmp_path)
-        runner.run(some_pairs)
-        assert runner.last_run_record["metrics"] is None
 
 
 class TestPolicy:

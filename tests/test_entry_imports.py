@@ -100,8 +100,8 @@ def warm_run_all(tmp_path_factory):
     and those the run itself imported."""
     tmp_path = tmp_path_factory.mktemp("warm_run_all")
     argv = json.dumps([
-        "--cache-dir", str(tmp_path / "cache"), "--sample-ops", "2000",
-        "--jobs", "1", "run", "all",
+        "run", "all", "--cache-dir", str(tmp_path / "cache"),
+        "--sample-ops", "2000", "--jobs", "1",
     ])
     body = """
         import contextlib, io

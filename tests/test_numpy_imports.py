@@ -82,8 +82,8 @@ def test_sweeps_do_not_import_numpy_ma(tmp_path, step):
 
 def test_warm_run_all_does_not_import_numpy_ma(tmp_path):
     argv = (
-        "main(['--cache-dir', sys.argv[2], '--sample-ops', '2000', "
-        "'--jobs', '1', 'run', 'all'])"
+        "main(['run', 'all', '--cache-dir', sys.argv[2], "
+        "'--sample-ops', '2000', '--jobs', '1'])"
     )
     cache_dir = str(tmp_path / "cache")
     fill = tmp_path / "fill.json"
