@@ -172,9 +172,10 @@ class SubsetSelector:
     # ------------------------------------------------------------------
     # Group clustering and subsetting
     # ------------------------------------------------------------------
-    def _group_metrics(
+    def group_metrics(
         self, suite: BenchmarkSuite, group: str
     ) -> List[PairMetrics]:
+        """One group's REF pairs (both of its mini-suites), by pair name."""
         try:
             suites = GROUPS[group]
         except KeyError:
@@ -197,7 +198,7 @@ class SubsetSelector:
         """PC coordinates (ref pairs only) of one group."""
         result, labels = self.pca(suite)
         index = {label: i for i, label in enumerate(labels)}
-        metrics = self._group_metrics(suite, group)
+        metrics = self.group_metrics(suite, group)
         rows = [index[m.pair_name] for m in metrics]
         return result.scores[rows], metrics
 

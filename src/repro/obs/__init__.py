@@ -49,7 +49,6 @@ from .metrics import (
     MetricsRegistry,
 )
 from .trace import (
-    DEFAULT_CAPACITY,
     NULL_SPAN,
     ObsError,
     SpanHandle,
@@ -61,7 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - imported on first use below
 
 __all__ = [
     "DEFAULT_BUCKETS",
-    "DEFAULT_CAPACITY",
     "DEFAULT_PREFIX",
     "CriticalPathReport",
     "DriftDetector",
@@ -149,12 +147,11 @@ _PROFILER: Optional[SpanProfiler] = None
 
 def enable(
     trace_path: Optional[str] = None,
-    capacity: int = DEFAULT_CAPACITY,
-    metrics: bool = True,
     profile_stages=None,
 ) -> Tracer:
-    """Turn observability on for this process (idempotent-ish: calling
-    again replaces the tracer, closing any previous sink).
+    """Turn observability on for this process: a tracer and a metrics
+    registry (idempotent-ish: calling again replaces the tracer, closing
+    any previous sink, and keeps the registry).
 
     ``profile_stages`` names the span stages (``{"engine.exec"}``) the
     span-scoped profiler collects inside; ``None`` or an empty set — the
@@ -164,11 +161,9 @@ def enable(
     global _TRACER, _REGISTRY, _PROFILER
     if _TRACER is not None:
         _TRACER.close()
-    _TRACER = Tracer(capacity=capacity, sink_path=trace_path)
-    if metrics and _REGISTRY is None:
+    _TRACER = Tracer(sink_path=trace_path)
+    if _REGISTRY is None:
         _REGISTRY = MetricsRegistry()
-    elif not metrics:
-        _REGISTRY = None
     if profile_stages:
         from .profiler import SpanProfiler
 

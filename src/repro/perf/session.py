@@ -28,34 +28,27 @@ DEFAULT_SAMPLE_OPS = 60_000
 
 
 class PerfSession:
-    """Collects counters for application-input pairs on one configuration."""
+    """Collects counters for application-input pairs on one configuration.
+
+    The core picks the execution engine per trace (see
+    :class:`~repro.uarch.core.SimulatedCore`) and measures after its
+    default warmup window.
+    """
 
     def __init__(
         self,
         config: Optional[SystemConfig] = None,
         sample_ops: int = DEFAULT_SAMPLE_OPS,
-        warmup_fraction: float = 0.15,
-        engine: str = "auto",
     ):
         if sample_ops <= 0:
             raise SimulationError("sample_ops must be positive")
-        if not 0.0 <= warmup_fraction < 1.0:
-            # warmup >= 1 would leave an empty (or negative) measurement
-            # window, turning every downstream rate into NaN or a
-            # divide-by-zero; fail loudly instead.
-            raise SimulationError(
-                "warmup_fraction must be in [0, 1), got %r" % (warmup_fraction,)
-            )
         self.config = config or haswell_e5_2650l_v3()
         self.sample_ops = sample_ops
-        self.warmup_fraction = warmup_fraction
-        self.engine = engine
         self._generator = TraceGenerator(self.config)
-        self._core = SimulatedCore(self.config, engine=engine)
-        #: What the engine knob resolves to at the *config* level (traces
-        #: may still force a per-run scalar fallback under "auto").
-        #: Resolved eagerly so asking for the vector engine on an
-        #: unsupported configuration fails at construction, not mid-sweep.
+        self._core = SimulatedCore(self.config)
+        #: The engine this config resolves to (traces may still force a
+        #: per-run scalar fallback).  Cache keys and ledger records name
+        #: it.
         self.resolved_engine = self._core.resolve_engine()
 
     def run(self, profile: WorkloadProfile) -> CounterReport:
@@ -68,7 +61,7 @@ class PerfSession:
         with obs.profile("trace.gen", ops=self.sample_ops) as span:
             trace = self._generator.generate(profile, n_ops=self.sample_ops)
             span.set("loads", trace.n_loads).set("stores", trace.n_stores)
-        result = self._core.run(trace, warmup_fraction=self.warmup_fraction)
+        result = self._core.run(trace)
         # The scaled counters are consistent by construction; enforcing it
         # here means no inconsistent report can ever leave the session.
         with obs.profile("counters.validate"):

@@ -18,19 +18,22 @@ Subcommands::
 
 Options follow the command they apply to: ``repro run all --jobs 4``.
 ``run`` and ``pair`` take the sweep options (``--sample-ops``,
-``--no-cache``, ``--cache-dir``, ``--engine``), and ``run`` also takes
-``--jobs``, since ``pair`` runs one worker.  ``run``, ``pair`` and
-``phases``, the commands that open spans, take the observability options
-(``--trace``, ``--metrics``, ``--profile-stage``, ``--profile-out``).
-An option before the command, or on a command that does not read it, is
-a usage error (exit 2).  ``repro obs check --metrics`` is a flag of its
-own.
+``--no-cache``, ``--cache-dir``), and ``run`` also takes ``--jobs``,
+since ``pair`` runs one worker.  A sweep picks its execution engine
+itself: the vector fast path wherever it is exact, the scalar reference
+elsewhere.  ``run``, ``pair`` and ``phases``, the commands that open
+spans, take the observability options (``--trace``, ``--metrics``,
+``--profile-stage``, ``--profile-out``).  An option before the command,
+or on a command that does not read it, is a usage error (exit 2) whose
+usage line names the command.  ``repro obs check --metrics`` is a flag
+of its own.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from typing import List, Optional
@@ -39,7 +42,6 @@ from .. import __version__, obs
 from ..errors import ReproError, SimulationError
 from ..perf.session import DEFAULT_SAMPLE_OPS
 from ..runner import SuiteRunner
-from ..uarch.core import ENGINES
 from ..workloads.profile import InputSize
 from ..workloads.spec2017 import cpu2017
 from .experiments import (
@@ -49,8 +51,21 @@ from .experiments import (
     run_experiment,
 )
 
+
+class _Parser(argparse.ArgumentParser):
+    """Rejects leftover arguments on the parser that received them, so
+    the usage error after a command names that command (argparse would
+    hand them back to the top-level parser).  Subparsers inherit it."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: %s" % " ".join(extras))
+        return namespace, extras
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Reproduction of the SPEC CPU2017 workload "
                     "characterization (ISPASS 2018)",
@@ -81,14 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="result-cache directory (default: $REPRO_CACHE_DIR or "
              "~/.cache/repro)",
-    )
-    group.add_argument(
-        "--engine",
-        choices=list(ENGINES),
-        default="auto",
-        help="trace-execution engine: the op-loop reference ('scalar'), "
-             "the batched numpy fast path ('vector'), or pick the fast "
-             "path whenever it is exact ('auto', default)",
     )
 
     # The options of the commands that open spans.
@@ -185,14 +192,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     export = trace_sub.add_parser(
         "export",
-        help="convert a trace to a visual timeline "
+        help="convert a trace to a Chrome trace-event timeline "
              "(load in ui.perfetto.dev or chrome://tracing)",
     )
     export.add_argument("file", help="trace file written by --trace")
-    export.add_argument(
-        "--format", choices=["chrome"], default="chrome",
-        help="output format (default %(default)s)",
-    )
     export.add_argument(
         "--output", "-o", metavar="FILE", default=None,
         help="output path (default: <file>.chrome.json)",
@@ -217,8 +220,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint = subparsers.add_parser(
         "lint",
-        help="run the repro static-analysis pass "
-             "(exit 1 on findings, 2 on parse/internal failure)",
+        help="run the repro static-analysis pass (exit 1 on findings, "
+             "2 on parse/internal failure or an unwritable report)",
     )
     lint.add_argument(
         "paths", nargs="*", default=["src"],
@@ -318,7 +321,6 @@ def _make_runner(args, workers: Optional[int]) -> SuiteRunner:
         workers=workers,
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
-        engine=args.engine,
     )
 
 
@@ -352,6 +354,15 @@ def _cmd_run(args) -> int:
     wanted: List[str] = args.experiments
     if wanted == ["all"]:
         wanted = list(EXPERIMENT_IDS)
+    if args.output:
+        # Before the first sweep: a directory that cannot be made fails
+        # the run before any pair is simulated.
+        try:
+            os.makedirs(args.output, exist_ok=True)
+        except OSError as error:
+            raise ReproError(
+                "cannot write %s: %s" % (args.output, error)
+            ) from error
     runner = _make_runner(args, args.jobs)
     ctx = ExperimentContext(runner=runner)
     for exp_id in wanted:
@@ -406,7 +417,8 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    """Both lint tiers.  Exit 0 clean, 1 findings, 2 parse/internal."""
+    """Both lint tiers.  Exit 0 clean, 1 findings, 2 parse/internal
+    failure or an unwritable ``--output``."""
     from pathlib import Path
 
     from ..errors import LintError
@@ -434,9 +446,10 @@ def _cmd_lint(args) -> int:
         try:
             Path(args.output).write_text(report + "\n", encoding="utf-8")
         except OSError as error:
-            raise ReproError(
-                "cannot write %s: %s" % (args.output, error)
-            ) from error
+            # Exit 2, not 1: a missing report is no finding.
+            print("error: cannot write %s: %s" % (args.output, error),
+                  file=sys.stderr)
+            return 2
         print("wrote %s report to %s" % (args.format, args.output),
               file=sys.stderr)
     else:
@@ -613,8 +626,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Inside the try: an unwritable --trace path is an ObsError.
         if obs_on:
             obs.enable(
-                trace_path=trace_path, metrics=True,
-                profile_stages=profile_stages,
+                trace_path=trace_path, profile_stages=profile_stages,
             )
         if args.command == "list":
             status = _cmd_list()

@@ -21,7 +21,6 @@ from ..core.subset import SubsetResult, SubsetSelector
 from ..errors import ExperimentError
 from ..runner import SuiteRunner
 from ..stats.factor import factor_loadings
-from ..workloads.profile import InputSize, MiniSuite
 from ..workloads.spec2006 import cpu2006
 from ..workloads.spec2017 import cpu2017
 from . import figures
@@ -84,19 +83,7 @@ class ExperimentContext:
     def group_means(self, group: str) -> List[PairMetrics]:
         key = "group:" + group
         if key not in self._cache:
-            minis = {
-                "rate": (MiniSuite.RATE_INT, MiniSuite.RATE_FP),
-                "speed": (MiniSuite.SPEED_INT, MiniSuite.SPEED_FP),
-            }[group]
-            means: List[PairMetrics] = []
-            for mini in minis:
-                means.extend(
-                    m
-                    for m in self.characterizer.characterize(
-                        self.suite17, size=InputSize.REF, mini_suite=mini
-                    )
-                )
-            self._cache[key] = sorted(means, key=lambda m: m.pair_name)
+            self._cache[key] = self.selector.group_metrics(self.suite17, group)
         return self._cache[key]
 
     def subset(self, group: str) -> SubsetResult:

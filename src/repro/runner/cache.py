@@ -95,7 +95,7 @@ class ResultCache:
         """The cache key of one (config, profile, sample params) tuple.
 
         ``engine`` is the *resolved* execution engine ("scalar" or
-        "vector"), not the user-facing knob: both engines are parity-
+        "vector"), never "auto": both engines are parity-
         checked but keyed separately so a regression in either can never
         hide behind the other's cached entries.  ``None`` (legacy
         callers) hashes like the pre-engine layout did not exist —

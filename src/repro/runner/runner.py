@@ -38,6 +38,7 @@ from ..errors import CounterError, SimulationError
 from ..obs.ledger import LEDGER_ENV, RunLedger, build_run_record
 from ..perf.report import CounterReport
 from ..perf.session import DEFAULT_SAMPLE_OPS, PerfSession
+from ..uarch.core import WARMUP_FRACTION
 from ..workloads.profile import InputSize, MiniSuite, WorkloadProfile
 from ..workloads.suite import AppInput, BenchmarkSuite
 from .cache import CacheShard, ResultCache
@@ -45,10 +46,10 @@ from .cache import CacheShard, ResultCache
 #: Reason recorded for pairs the paper could not collect (strict mode).
 _COLLECTION_REASON = "perf reported collection errors for this pair in the paper"
 
-PairLike = Union[AppInput, WorkloadProfile]
+#: Attempts a failing pair gets beyond its first: one retry, in the parent.
+_RETRIES = 1
 
-#: ``progress(done, total, record)`` — invoked once per finished pair.
-ProgressCallback = Callable[[int, int, "PairRecord"], None]
+PairLike = Union[AppInput, WorkloadProfile]
 
 #: ``store(pair_name, values)`` — persists one validated pair's counters.
 StoreCallback = Callable[[str, Dict[str, float]], None]
@@ -64,8 +65,7 @@ _WORKER_SESSION: Optional[PerfSession] = None
 
 
 def _init_worker(
-    config: SystemConfig, sample_ops: int, warmup_fraction: float,
-    engine: str = "auto", obs_on: bool = False,
+    config: SystemConfig, sample_ops: int, obs_on: bool = False,
     profile_stages: Tuple[str, ...] = (),
 ) -> None:
     global _WORKER_SESSION
@@ -74,10 +74,7 @@ def _init_worker(
         # and span-scoped profiler aggregates ride home on the result
         # tuple and are stitched into the parent's trace by the runner.
         obs.enable(profile_stages=profile_stages)
-    _WORKER_SESSION = PerfSession(
-        config=config, sample_ops=sample_ops, warmup_fraction=warmup_fraction,
-        engine=engine,
-    )
+    _WORKER_SESSION = PerfSession(config=config, sample_ops=sample_ops)
 
 
 def _run_pair(
@@ -213,76 +210,50 @@ class SuiteRunner:
     Args:
         config: Simulated system (default: the paper's Table-I machine).
         sample_ops: Simulated micro-ops per pair.
-        warmup_fraction: Measurement-window warmup fraction.
         workers: Process count (default: ``os.cpu_count()``).  ``1`` runs
             everything inline in the calling process.
-        cache: An explicit :class:`ResultCache` to use.
-        cache_dir: Directory for the default cache (ignored if ``cache``
-            is given).
+        cache_dir: Result-cache directory (default: ``$REPRO_CACHE_DIR``
+            or ``~/.cache/repro``).
         use_cache: ``False`` disables reading *and* writing the cache —
             the ``--no-cache`` escape hatch.
-        retries: Bounded retry budget per failing pair.
-        progress: Optional ``callback(done, total, record)`` invoked as
-            each pair finishes.
-        engine: Trace-execution engine knob passed to every session —
-            ``"scalar"``, ``"vector"``, or ``"auto"`` (default).
-        ledger: An explicit :class:`~repro.obs.ledger.RunLedger` to
-            append run records to.
-        ledger_path: Path for the default ledger (ignored if ``ledger``
-            is given).
         use_ledger: ``False`` disables the run ledger entirely.  The
-            default ledger lives next to the result cache, so it is
-            only created when a cache is in use (or ``ledger_path`` /
-            ``$REPRO_LEDGER`` names an explicit location).
+            ledger is ``$REPRO_LEDGER`` if set, else ``ledger.jsonl`` next
+            to the result cache, so without either there is none.
+
+    Each session picks its engine per trace and measures after the
+    core's warmup window; a failing pair gets one retry.
     """
 
     def __init__(
         self,
         config=None,
         sample_ops: int = DEFAULT_SAMPLE_OPS,
-        warmup_fraction: float = 0.15,
         workers: Optional[int] = None,
-        cache: Optional[ResultCache] = None,
         cache_dir=None,
         use_cache: bool = True,
-        retries: int = 1,
-        progress: Optional[ProgressCallback] = None,
-        engine: str = "auto",
-        ledger: Optional[RunLedger] = None,
-        ledger_path=None,
         use_ledger: bool = True,
     ):
         # The local session validates the sample parameters eagerly and
         # serves inline runs plus in-parent retries.
-        self._session = PerfSession(
-            config=config, sample_ops=sample_ops,
-            warmup_fraction=warmup_fraction, engine=engine,
-        )
+        self._session = PerfSession(config=config, sample_ops=sample_ops)
         self.config = self._session.config
         self.sample_ops = sample_ops
-        self.warmup_fraction = warmup_fraction
-        self.engine = engine
         if workers is None:
             workers = os.cpu_count() or 1
         if workers < 1:
             raise SimulationError("workers must be >= 1, got %r" % workers)
         self.workers = workers
-        if retries < 0:
-            raise SimulationError("retries must be >= 0, got %r" % retries)
-        self.retries = retries
-        self.cache: Optional[ResultCache] = None
-        if use_cache:
-            self.cache = cache if cache is not None else ResultCache(cache_dir)
+        self.cache: Optional[ResultCache] = (
+            ResultCache(cache_dir) if use_cache else None
+        )
         self.ledger: Optional[RunLedger] = None
-        if use_ledger:
-            if ledger is not None:
-                self.ledger = ledger
-            elif ledger_path is not None or os.environ.get(LEDGER_ENV):
-                self.ledger = RunLedger(path=ledger_path)
-            elif self.cache is not None:
-                # Default placement: next to the cache it describes.
-                self.ledger = RunLedger(cache_dir=self.cache.directory)
-        self.progress = progress
+        if use_ledger and (
+            self.cache is not None or os.environ.get(LEDGER_ENV)
+        ):
+            # $REPRO_LEDGER if set, else next to the cache it describes.
+            self.ledger = RunLedger(
+                cache_dir=None if self.cache is None else self.cache.directory
+            )
         #: The run record appended to the ledger by the last ``run()``
         #: call (None before the first sweep or when the ledger is off).
         self.last_run_record: Optional[Dict[str, object]] = None
@@ -321,14 +292,9 @@ class SuiteRunner:
         failures: List[PairFailure] = []
         keys: Dict[str, str] = {}
         pending: List[WorkloadProfile] = []
-        done = 0
 
         def finish(record: PairRecord) -> None:
-            nonlocal done
-            done += 1
             records[record.pair_name] = record
-            if self.progress is not None:
-                self.progress(done, total, record)
 
         def store(name: str, values: Dict[str, float]) -> None:
             if shard is None:
@@ -356,12 +322,11 @@ class SuiteRunner:
             # never serve counters for a pair the paper failed to collect.
             # The shard is read once per runner, before its first sweep's
             # first lookup: the read counts toward that sweep's wall time,
-            # not a hit's, and a hit does no file I/O.  Shards and keys use
-            # the *resolved* engine so "auto" shares entries with
-            # whichever concrete engine it resolves to.
+            # not a hit's, and a hit does no file I/O.  Shards and keys name
+            # the engine "auto" resolves to for this config.
             if self.cache is not None and self._shard is None:
                 self._shard = self.cache.shard(
-                    self.config, self.sample_ops, self.warmup_fraction,
+                    self.config, self.sample_ops, WARMUP_FRACTION,
                     engine=engine,
                 )
             shard = self._shard
@@ -377,7 +342,7 @@ class SuiteRunner:
                     obs.record(
                         "pair.failure", pair=name,
                         error_type="CollectionError", attempts=0,
-                        retries=self.retries,
+                        retries=_RETRIES,
                     )
                     finish(PairRecord(name, 0.0, False, 0, "CollectionError"))
                     continue
@@ -385,7 +350,7 @@ class SuiteRunner:
                     lookup_started = time.perf_counter()
                     key = self.cache.key(
                         self.config, profile, self.sample_ops,
-                        self.warmup_fraction, engine=engine,
+                        WARMUP_FRACTION, engine=engine,
                     )
                     keys[name] = key
                     values = self.cache.load(key, shard)
@@ -457,7 +422,7 @@ class SuiteRunner:
         started = time.perf_counter()
         record = build_run_record(
             manifest, reports, self.config, self.sample_ops,
-            self.warmup_fraction, self._session.resolved_engine,
+            WARMUP_FRACTION, self._session.resolved_engine,
         )
         try:
             self.ledger.append(record)
@@ -541,7 +506,7 @@ class SuiteRunner:
             failures.append(PairFailure(name, error_type, str(error), attempts))
             obs.record(
                 "pair.failure", pair=name, error_type=error_type,
-                attempts=attempts, retries=self.retries,
+                attempts=attempts, retries=_RETRIES,
             )
             obs.count(
                 "validation_failures_total",
@@ -568,7 +533,7 @@ class SuiteRunner:
         attempts = prior_attempts
         seconds = prior_seconds
         with obs.profile("pair.run", pair=name, cache="miss") as pair_span:
-            while attempts <= self.retries:
+            while attempts <= _RETRIES:
                 attempts += 1
                 attempt_started = time.perf_counter()
                 try:
@@ -599,7 +564,7 @@ class SuiteRunner:
             failures.append(PairFailure(name, error_type, message, attempts))
             obs.record(
                 "pair.failure", pair=name, error_type=error_type,
-                attempts=attempts, retries=self.retries,
+                attempts=attempts, retries=_RETRIES,
             )
             finish(PairRecord(name, seconds, False, attempts, error_type))
 
@@ -621,8 +586,8 @@ class SuiteRunner:
             max_workers=workers,
             initializer=_init_worker,
             initargs=(
-                self.config, self.sample_ops, self.warmup_fraction,
-                self.engine, obs.enabled(), obs.profile_stage_names(),
+                self.config, self.sample_ops, obs.enabled(),
+                obs.profile_stage_names(),
             ),
         ) as pool:
             futures = {

@@ -34,24 +34,21 @@ from ..workloads.calibrate import (
 )
 from ..workloads.generator import BR_INDIRECT_JUMP, KIND_STORE, SyntheticTrace
 from . import vector
-from .branch import BranchPredictor, PredictorStats, make_predictor
+from .branch import PredictorStats, make_predictor
 from .hierarchy import HierarchyStats, MemoryHierarchy
 from .memory import FootprintEstimate, FootprintTracker
 from .pipeline import CPIBreakdown, PipelineModel
 from .vector import EngineMeasurement
 
-#: Valid values of the engine knob.  "scalar" is the op-loop reference
-#: implementation, "vector" the batched numpy engine, "auto" picks vector
-#: whenever the config/trace combination supports it exactly.
+#: The engines a run may name.  "scalar" is the op-loop reference
+#: implementation, "vector" the batched numpy engine, "auto" (every
+#: sweep's choice) picks vector whenever the config/trace combination
+#: supports it exactly.
 ENGINES = ("scalar", "vector", "auto")
 
-
-def _check_engine(engine: str) -> str:
-    if engine not in ENGINES:
-        raise ConfigError(
-            "unknown engine %r (valid: %s)" % (engine, ", ".join(ENGINES))
-        )
-    return engine
+#: The measurement-window warmup fraction every sweep uses; cache keys
+#: and ledger records name it.
+WARMUP_FRACTION = 0.15
 
 
 @dataclass(frozen=True)
@@ -128,33 +125,15 @@ class CoreResult:
 class SimulatedCore:
     """Executes synthetic traces against one system configuration.
 
-    Args:
-        config: The simulated system.
-        predictor: Optional externally built branch predictor.  An
-            override carries its own (possibly pre-trained) state, which
-            only the scalar engine can replay.
-        engine: Default execution engine — ``"scalar"``, ``"vector"``,
-            or ``"auto"`` (vector whenever supported, scalar otherwise).
+    Every run picks its engine itself (``"auto"``): the vector engine
+    whenever it reproduces the scalar reference exactly, the scalar
+    engine otherwise.  :meth:`run` and :meth:`resolve_engine` still take
+    an explicit ``engine`` for the parity checks.
     """
 
-    def __init__(self, config: SystemConfig,
-                 predictor: Optional[BranchPredictor] = None,
-                 engine: str = "auto"):
+    def __init__(self, config: SystemConfig):
         self.config = config
-        self.engine = _check_engine(engine)
-        self._predictor_override = predictor
         self._pipeline = PipelineModel(config)
-
-    def vector_unsupported_reason(
-        self, trace: Optional[SyntheticTrace] = None
-    ) -> Optional[str]:
-        """Why the vector engine cannot be used here (None if it can)."""
-        if self._predictor_override is not None:
-            return (
-                "an externally supplied predictor instance carries state "
-                "only the scalar engine can replay"
-            )
-        return vector.unsupported_reason(self.config, trace)
 
     def resolve_engine(
         self,
@@ -163,8 +142,8 @@ class SimulatedCore:
     ) -> str:
         """The concrete engine a run would use: "scalar" or "vector".
 
-        ``engine=None`` resolves the core's default.  Explicitly asking
-        for the vector engine when it is unsupported raises, naming the
+        ``engine=None`` resolves ``"auto"``.  Explicitly asking for the
+        vector engine when it is unsupported raises, naming the
         precondition that failed; ``"auto"`` silently falls back.
         """
         return self._choose_engine(trace, engine)[0]
@@ -175,10 +154,14 @@ class SimulatedCore:
         """``(engine, hit levels)``: the engine :meth:`resolve_engine`
         names, and the vector engine's hit levels for ``trace`` (None on
         the scalar engine, or without a trace)."""
-        engine = _check_engine(engine or self.engine)
+        engine = engine or "auto"
+        if engine not in ENGINES:
+            raise ConfigError(
+                "unknown engine %r (valid: %s)" % (engine, ", ".join(ENGINES))
+            )
         if engine == "scalar":
             return "scalar", None
-        reason = self.vector_unsupported_reason()
+        reason = vector.unsupported_reason(self.config)
         hit_levels = None
         if reason is None and trace is not None:
             with obs.profile("engine.vector.analyze", ops=trace.n_ops):
@@ -193,7 +176,7 @@ class SimulatedCore:
         self,
         trace: SyntheticTrace,
         params: Optional[PipelineParams] = None,
-        warmup_fraction: float = 0.15,
+        warmup_fraction: float = WARMUP_FRACTION,
         engine: Optional[str] = None,
     ) -> CoreResult:
         """Simulate one trace and return the measured result."""
@@ -233,9 +216,7 @@ class SimulatedCore:
     ) -> EngineMeasurement:
         """Reference implementation: one trip through the op loops."""
         hierarchy = MemoryHierarchy(self.config)
-        predictor = self._predictor_override or make_predictor(
-            self.config.branch_predictor
-        )
+        predictor = make_predictor(self.config.branch_predictor)
         tracker = FootprintTracker(trace.profile, trace.pages_per_touch)
 
         # ---- memory stream -------------------------------------------------

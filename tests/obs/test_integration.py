@@ -120,7 +120,7 @@ class TestWorkerFailureTrace:
         trace_path = tmp_path / "trace.jsonl"
         obs.enable(trace_path=str(trace_path))
         runner = SuiteRunner(
-            sample_ops=SAMPLE_OPS, workers=1, retries=1, use_cache=False
+            sample_ops=SAMPLE_OPS, workers=1, use_cache=False
         )
 
         def broken(profile):
@@ -147,7 +147,7 @@ class TestWorkerFailureTrace:
     def test_metrics_count_failures_and_retries(self, pairs):
         obs.enable()
         runner = SuiteRunner(
-            sample_ops=SAMPLE_OPS, workers=1, retries=1, use_cache=False
+            sample_ops=SAMPLE_OPS, workers=1, use_cache=False
         )
 
         def broken(profile):
@@ -269,7 +269,7 @@ class TestRetrySpanGraft:
         trace_path = tmp_path / "trace.jsonl"
         obs.enable(trace_path=str(trace_path))
         runner = SuiteRunner(
-            sample_ops=SAMPLE_OPS, workers=1, retries=2, use_cache=False
+            sample_ops=SAMPLE_OPS, workers=1, use_cache=False
         )
         real_run = runner._session.run
         calls = {"n": 0}
@@ -307,7 +307,7 @@ class TestRetrySpanGraft:
         trace_path = tmp_path / "trace.jsonl"
         obs.enable(trace_path=str(trace_path))
         runner = SuiteRunner(
-            sample_ops=SAMPLE_OPS, workers=1, retries=2, use_cache=False
+            sample_ops=SAMPLE_OPS, workers=1, use_cache=False
         )
         real_run = runner._session.run
         calls = {"n": 0}

@@ -11,6 +11,7 @@ import pytest
 
 from repro import obs
 from repro.reports.cli import main
+from repro.runner import SuiteRunner
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -79,7 +80,8 @@ class TestPhases:
 
 
 #: The sweep and observability options, each with a value a command
-#: that reads it would accept.
+#: that reads it would accept.  No command reads ``--engine``: a sweep
+#: picks its engine itself.
 SWEEP_OPTIONS = {
     "--sample-ops": ["5000"], "--jobs": ["1"], "--no-cache": [],
     "--cache-dir": ["{tmp}/cache"], "--engine": ["scalar"],
@@ -92,8 +94,8 @@ OPTIONS = {**SWEEP_OPTIONS, **OBS_OPTIONS}
 
 #: The options each command reads; the other commands read none.
 READS = {
-    "run": set(OPTIONS),
-    "pair": set(OPTIONS) - {"--jobs"},
+    "run": set(OPTIONS) - {"--engine"},
+    "pair": set(OPTIONS) - {"--jobs", "--engine"},
     "phases": set(OBS_OPTIONS),
 }
 
@@ -108,30 +110,38 @@ COMMANDS = {
     "obs": ["obs", "history", "--ledger", "{tmp}/ledger.jsonl"],
 }
 
+#: The program each command's usage line names, where it is not
+#: ``repro COMMAND``.
+PROGS = {"trace": "repro trace summarize", "obs": "repro obs history"}
+
 
 def misplaced_options():
     """Every option before the command, every option on a command that
-    does not read it, and four such argv that once ran and exited 0."""
+    does not read it, and four such argv that once ran and exited 0;
+    each with the program whose usage line reports it."""
     cases = [
-        pytest.param([option, *value, *COMMANDS["run"]],
+        pytest.param([option, *value, *COMMANDS["run"]], "repro",
                      id="%s-before-run" % option.lstrip("-"))
         for option, value in OPTIONS.items()
     ]
     cases += [
         pytest.param([*argv, option, *value],
+                     PROGS.get(command, "repro " + command),
                      id="%s-on-%s" % (option.lstrip("-"), command))
         for command, argv in COMMANDS.items()
         for option, value in OPTIONS.items()
         if option not in READS.get(command, ())
     ]
     cases += [
-        pytest.param(["--jobs", "0", "list"], id="jobs-0-list"),
+        pytest.param(["--jobs", "0", "list"], "repro", id="jobs-0-list"),
         pytest.param(["--cache-dir", "{tmp}/cache", "obs", "history"],
-                     id="cache-dir-obs-history"),
-        pytest.param(["pair", "505.mcf_r", "--jobs", "0"], id="pair-jobs-0"),
+                     "repro", id="cache-dir-obs-history"),
+        pytest.param(["pair", "505.mcf_r", "--jobs", "0"], "repro pair",
+                     id="pair-jobs-0"),
         pytest.param(["phases", "502.gcc_r", "--engine", "vector",
                       "--sample-ops", "1", "--jobs", "0",
-                      "--cache-dir", "/nonexistent/x"], id="phases-sweep"),
+                      "--cache-dir", "/nonexistent/x"], "repro phases",
+                     id="phases-sweep"),
     ]
     return cases
 
@@ -160,8 +170,10 @@ class TestSharedFlags:
     def test_top_level_help_lists_no_command_option(self, capsys):
         assert listed_options([], capsys) == {"--version"}
 
-    @pytest.mark.parametrize("argv", misplaced_options())
-    def test_misplaced_option_is_a_usage_error(self, argv, tmp_path, capsys):
+    @pytest.mark.parametrize("argv,prog", misplaced_options())
+    def test_misplaced_option_is_a_usage_error(
+        self, argv, prog, tmp_path, capsys
+    ):
         (tmp_path / "empty.py").write_text("")
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         with pytest.raises(SystemExit) as exit_info:
@@ -169,7 +181,9 @@ class TestSharedFlags:
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""  # the command never ran
-        assert "error:" in captured.err
+        # The usage line and the error name the parser that rejected it.
+        assert captured.err.startswith("usage: %s [-h]" % prog)
+        assert "%s: error:" % prog in captured.err
         assert not (tmp_path / "t.jsonl").exists()
         assert not (tmp_path / "p.txt").exists()
         assert not obs.enabled()
@@ -218,19 +232,20 @@ class TestObservabilityFlags:
         # And the CLI turned obs back off on the way out.
         assert not obs.enabled()
 
-    @pytest.mark.parametrize("argv", [
-        ["run", "--pairs", "1", "--sample-ops", "5000", "--no-cache",
-         "--jobs", "1", "--trace", "{missing}/t.jsonl"],
-        ["run", "--pairs", "1", "--sample-ops", "5000", "--no-cache",
-         "--jobs", "1", "--profile-stage", "engine.exec",
-         "--profile-out", "{missing}/p.txt"],
-        ["trace", "export", "{trace}", "-o", "{missing}/x.json"],
-        ["lint", "{source}", "--output", "{missing}/x.txt"],
-        ["run", "table1", "--sample-ops", "5000", "--output",
-         "{missing}/out"],
+    @pytest.mark.parametrize("argv,code", [
+        (["run", "--pairs", "1", "--sample-ops", "5000", "--no-cache",
+          "--jobs", "1", "--trace", "{missing}/t.jsonl"], 1),
+        (["run", "--pairs", "1", "--sample-ops", "5000", "--no-cache",
+          "--jobs", "1", "--profile-stage", "engine.exec",
+          "--profile-out", "{missing}/p.txt"], 1),
+        (["trace", "export", "{trace}", "-o", "{missing}/x.json"], 1),
+        # Lint's 1 means findings: a report it cannot write is a 2.
+        (["lint", "{source}", "--output", "{missing}/x.txt"], 2),
+        (["run", "table1", "--sample-ops", "5000", "--output",
+          "{missing}/out"], 1),
     ], ids=["trace", "profile-out", "export", "lint-output", "run-output"])
     def test_unwritable_output_path_is_one_error_line(
-        self, argv, tmp_path, capsys
+        self, argv, code, tmp_path, capsys
     ):
         # Nothing can be made under a regular file, not even the
         # directory that `run --output` creates.
@@ -245,13 +260,29 @@ class TestObservabilityFlags:
         }) + "\n")
         argv = [arg.format(missing=missing, trace=trace, source=source)
                 for arg in argv]
-        assert main(argv) == 1
+        assert main(argv) == code
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines()
                   if line.startswith("error:")]
         assert len(errors) == 1 and str(missing) in errors[0]
         assert "Traceback" not in err
         assert not obs.enabled()
+
+    def test_unwritable_run_output_fails_before_any_sweep(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def sweep(self, *args, **kwargs):
+            pytest.fail("a sweep ran before --output was made")
+
+        monkeypatch.setattr(SuiteRunner, "run", sweep)
+        (tmp_path / "file").write_text("")
+        missing = tmp_path / "file" / "out"
+        assert main(["run", "table2", "--sample-ops", "2000", "--no-cache",
+                     "--jobs", "1", "--output", str(missing)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: cannot write %s" % missing)
 
     def test_profile_out_without_stage_is_one_error_line(
         self, tmp_path, capsys
@@ -346,8 +377,7 @@ class TestTraceAnalysisCli:
         return trace_path
 
     def test_export_chrome_default_output(self, traced, capsys):
-        assert main(["trace", "export", str(traced), "--format",
-                     "chrome"]) == 0
+        assert main(["trace", "export", str(traced)]) == 0
         out = capsys.readouterr().out
         default = str(traced) + ".chrome.json"
         assert default in out

@@ -77,12 +77,16 @@ class TestPolicy:
         assert runner.ledger.path == target
         assert len(RunLedger(path=target).runs()) == 1
 
-    def test_explicit_ledger_path_wins(self, tmp_path, some_pairs):
+    def test_explicit_ledger_path_wins(
+        self, tmp_path, some_pairs, monkeypatch
+    ):
         target = tmp_path / "explicit.jsonl"
-        runner = make_runner(tmp_path, ledger_path=target)
+        monkeypatch.setenv(LEDGER_ENV, str(target))
+        runner = make_runner(tmp_path)
         runner.run(some_pairs)
         assert runner.ledger.path == target
         assert len(RunLedger(path=target).runs()) == 1
+        assert not (tmp_path / "cache" / "ledger.jsonl").exists()
 
     def test_use_ledger_false_disables(self, tmp_path, some_pairs):
         runner = make_runner(tmp_path, use_ledger=False)
@@ -91,34 +95,39 @@ class TestPolicy:
         assert runner.last_run_record is None
         assert not (tmp_path / "cache" / "ledger.jsonl").exists()
 
-    def test_explicit_ledger_object(self, tmp_path, some_pairs):
-        ledger = RunLedger(path=tmp_path / "mine.jsonl")
-        runner = make_runner(tmp_path, ledger=ledger)
-        assert runner.ledger is ledger
+    def test_explicit_ledger_object(self, tmp_path, some_pairs, monkeypatch):
+        # A default RunLedger, as `repro obs` builds one, reads the
+        # ledger the sweep appended to.
+        monkeypatch.setenv(LEDGER_ENV, str(tmp_path / "mine.jsonl"))
+        ledger = RunLedger()
+        runner = make_runner(tmp_path)
+        assert runner.ledger.path == ledger.path
         runner.run(some_pairs)
         assert len(ledger.runs()) == 1
 
 
 class TestBestEffort:
     def test_unwritable_ledger_never_sinks_a_sweep(
-        self, tmp_path, some_pairs
+        self, tmp_path, some_pairs, monkeypatch
     ):
         # A directory is unappendable: os.open(O_WRONLY) raises OSError.
         blocked = tmp_path / "blocked"
         blocked.mkdir()
-        runner = make_runner(tmp_path, ledger_path=blocked)
+        monkeypatch.setenv(LEDGER_ENV, str(blocked))
+        runner = make_runner(tmp_path)
         result = runner.run(some_pairs)
         assert result.ok
         assert runner.last_run_record is None
 
     def test_write_failure_counted_when_obs_enabled(
-        self, tmp_path, some_pairs
+        self, tmp_path, some_pairs, monkeypatch
     ):
         blocked = tmp_path / "blocked"
         blocked.mkdir()
+        monkeypatch.setenv(LEDGER_ENV, str(blocked))
         obs.enable()
         try:
-            runner = make_runner(tmp_path, ledger_path=blocked)
+            runner = make_runner(tmp_path)
             runner.run(some_pairs)
             registry = obs.registry()
             assert registry.counter(

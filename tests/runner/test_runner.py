@@ -6,6 +6,7 @@ from repro.core.characterize import Characterizer
 from repro.errors import SimulationError
 from repro.perf.session import PerfSession
 from repro.runner import ResultCache, SuiteRunner
+from repro.uarch.core import WARMUP_FRACTION
 from repro.workloads.profile import InputSize
 from repro.workloads.spec2017 import cpu2017
 
@@ -111,7 +112,7 @@ class TestCachedRuns:
     ):
         cache = ResultCache(tmp_path / "cache")
         runners = [
-            make_runner(tmp_path, cache=cache, config=c)
+            make_runner(tmp_path, config=c)
             for c in (config, config.with_predictor("bimodal"))
         ]
         fresh = [runner.run(some_pairs) for runner in runners]
@@ -175,8 +176,6 @@ class TestParallelism:
     def test_rejects_bad_worker_and_retry_counts(self):
         with pytest.raises(SimulationError):
             SuiteRunner(workers=0)
-        with pytest.raises(SimulationError):
-            SuiteRunner(retries=-1)
 
 
 class TestFaultTolerance:
@@ -202,7 +201,7 @@ class TestFaultTolerance:
         assert not strict.ok and not strict.reports
 
     def test_transient_failure_retried_once(self, tmp_path, mcf_ref):
-        runner = make_runner(tmp_path, use_cache=False, retries=1)
+        runner = make_runner(tmp_path, use_cache=False)
         real_run = runner._session.run
         calls = []
 
@@ -219,7 +218,7 @@ class TestFaultTolerance:
         assert record.attempts == 2 and not record.failed
 
     def test_persistent_failure_becomes_pair_failure(self, tmp_path, mcf_ref):
-        runner = make_runner(tmp_path, use_cache=False, retries=1)
+        runner = make_runner(tmp_path, use_cache=False)
 
         def broken(profile):
             raise RuntimeError("always broken")
@@ -234,11 +233,7 @@ class TestFaultTolerance:
 
 class TestManifest:
     def test_manifest_accounting(self, tmp_path, some_pairs):
-        seen = []
-        runner = make_runner(
-            tmp_path, progress=lambda done, total, rec: seen.append((done, total, rec))
-        )
-        result = runner.run(some_pairs)
+        result = make_runner(tmp_path).run(some_pairs)
         manifest = result.manifest
         assert manifest.total_pairs == len(some_pairs)
         assert manifest.workers == 1
@@ -248,10 +243,6 @@ class TestManifest:
             p.pair_name for p in some_pairs
         ]
         assert all(r.seconds >= 0 for r in manifest.records)
-        assert seen[-1][0] == len(some_pairs)
-        assert {done for done, _, _ in seen} == set(
-            range(1, len(some_pairs) + 1)
-        )
 
     def test_manifest_as_dict_is_json_ready(self, tmp_path, some_pairs):
         import json
@@ -318,7 +309,7 @@ class TestCounterConsistencyGate:
     ):
         from repro.perf.report import CounterReport
 
-        runner = make_runner(tmp_path, retries=0)
+        runner = make_runner(tmp_path)
         reference = dict(PerfSession(sample_ops=OPS).run(mcf_ref))
         bad = self.corrupt(reference)
 
@@ -343,7 +334,7 @@ class TestCounterConsistencyGate:
     ):
         from repro.perf.report import CounterReport
 
-        runner = make_runner(tmp_path, retries=0)
+        runner = make_runner(tmp_path)
         bad = self.corrupt(dict(PerfSession(sample_ops=OPS).run(mcf_ref)))
         monkeypatch.setattr(
             runner._session, "run",
@@ -360,12 +351,9 @@ class TestCounterConsistencyGate:
         cache = ResultCache(tmp_path / "cache")
         engine = runner._session.resolved_engine
         key = cache.key(
-            runner.config, mcf_ref, OPS, runner.warmup_fraction,
-            engine=engine,
+            runner.config, mcf_ref, OPS, WARMUP_FRACTION, engine=engine,
         )
-        shard = cache.shard(
-            runner.config, OPS, runner.warmup_fraction, engine=engine
-        )
+        shard = cache.shard(runner.config, OPS, WARMUP_FRACTION, engine=engine)
         poisoned = self.corrupt(cache.load(key, shard))
         cache.store(key, mcf_ref.pair_name, poisoned, shard)
 

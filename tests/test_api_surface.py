@@ -128,6 +128,42 @@ class TestApiFacade:
         assert completed.returncode == 0, completed.stderr
 
 
+class TestSweepSettings:
+    """A sweep's settings are its config, sample and placement: the
+    engine is the code's choice, and the settings only tests set are
+    gone.  Passing one is a plain TypeError, with nothing turned on."""
+
+    @pytest.mark.parametrize("target,keyword", [
+        ("SuiteRunner", "engine"),
+        ("SuiteRunner", "warmup_fraction"),
+        ("SuiteRunner", "retries"),
+        ("SuiteRunner", "progress"),
+        ("SuiteRunner", "cache"),
+        ("SuiteRunner", "ledger"),
+        ("SuiteRunner", "ledger_path"),
+        ("PerfSession", "engine"),
+        ("PerfSession", "warmup_fraction"),
+        ("SimulatedCore", "engine"),
+        ("SimulatedCore", "predictor"),
+        ("obs.enable", "capacity"),
+        ("obs.enable", "metrics"),
+    ])
+    def test_removed_setting_is_a_type_error(self, target, keyword):
+        from repro import api
+
+        call = {
+            "SuiteRunner": api.SuiteRunner,
+            "PerfSession": api.PerfSession,
+            "SimulatedCore": lambda **kwargs: api.SimulatedCore(
+                api.haswell_e5_2650l_v3(), **kwargs
+            ),
+            "obs.enable": api.obs.enable,
+        }[target]
+        with pytest.raises(TypeError, match=keyword):
+            call(**{keyword: None})
+        assert not api.obs.enabled()
+
+
 class TestDeprecationBridge:
     """Top-level access to facade-only names works but warns."""
 

@@ -44,10 +44,18 @@ result = repro.SuiteRunner(
 assert result.ok
 """,
     "scalar_pair": """
-result = repro.SuiteRunner(
-    sample_ops=2000, workers=1, use_cache=False, use_ledger=False,
-    engine="scalar",
-).run(pairs[:1])
+import dataclasses
+table1 = repro.haswell_e5_2650l_v3()
+# Random replacement has no vector analysis: "auto" resolves to scalar.
+config = dataclasses.replace(
+    table1, l3=dataclasses.replace(table1.l3, replacement="random"),
+)
+runner = repro.SuiteRunner(
+    config=config, sample_ops=2000, workers=1, use_cache=False,
+    use_ledger=False,
+)
+assert runner._session.resolved_engine == "scalar"
+result = runner.run(pairs[:1])
 assert result.ok
 """,
     "pooled_sweep": """

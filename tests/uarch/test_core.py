@@ -125,6 +125,12 @@ class TestAccounting:
         with pytest.raises(SimulationError):
             core.run(trace, warmup_fraction=1.0)
 
+    def test_accepts_boundary_warmup_fractions(self, core, generator, suite17):
+        profile = suite17.get("505.mcf_r").profile(InputSize.REF)
+        trace = generator.generate(profile, n_ops=5_000)
+        for warmup in (0.0, 0.5):
+            assert core.run(trace, warmup_fraction=warmup).ipc > 0
+
     def test_cpi_breakdown_components_nonnegative(self, core, generator, suite17):
         _, result = run_pair(core, generator, suite17, "505.mcf_r")
         assert result.cpi.base > 0

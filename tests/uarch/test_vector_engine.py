@@ -11,6 +11,7 @@ grouped counter scan, are also checked against their definitions.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from repro.errors import ConfigError, SimulationError
 from repro.perf.session import PerfSession
 from repro.phases.generator import PhasedTraceGenerator, slice_trace
 from repro.phases.workload import PhasedWorkload, Schedule, make_phases
-from repro.uarch.branch import make_predictor
 from repro.uarch.cache import Cache
 from repro.uarch.core import ENGINES, SimulatedCore
 from repro.uarch import vector
@@ -125,7 +125,7 @@ class TestFallback:
         config = policy_config("random")
         trace = TraceGenerator(config).generate(mcf_ref, n_ops=OPS)
         core = SimulatedCore(config)
-        assert core.vector_unsupported_reason(trace) is not None
+        assert vector.unsupported_reason(config, trace) is not None
         # auto silently falls back...
         assert core.resolve_engine(trace) == "scalar"
         # ...while an explicit request fails loudly, naming the reason.
@@ -137,17 +137,7 @@ class TestFallback:
             core.run(trace, engine="auto"),
         )
 
-    def test_predictor_override_forces_scalar(self, haswell, mcf_trace):
-        core = SimulatedCore(haswell, predictor=make_predictor("gshare"))
-        reason = core.vector_unsupported_reason(mcf_trace)
-        assert reason is not None and "scalar" in reason
-        assert core.resolve_engine(mcf_trace) == "scalar"
-        with pytest.raises(SimulationError, match="vector engine unsupported"):
-            core.run(mcf_trace, engine="vector")
-
     def test_unknown_engine_rejected_everywhere(self, haswell, mcf_trace):
-        with pytest.raises(ConfigError, match="unknown engine"):
-            SimulatedCore(haswell, engine="simd")
         core = SimulatedCore(haswell)
         with pytest.raises(ConfigError, match="unknown engine"):
             core.resolve_engine(mcf_trace, engine="simd")
@@ -183,35 +173,32 @@ class TestFallback:
         assert reason is not None and "random" in reason
 
 
+def session_on(engine: str, sample_ops: int = OPS) -> PerfSession:
+    """A session whose core runs ``engine`` on every trace, where a
+    session's own runs pick it per trace (``"auto"``)."""
+    session = PerfSession(sample_ops=sample_ops)
+    session._core.run = functools.partial(session._core.run, engine=engine)
+    return session
+
+
 class TestSessionParity:
     def test_session_reports_identical(self, mcf_ref):
-        scalar = PerfSession(sample_ops=OPS, engine="scalar").run(mcf_ref)
-        vec = PerfSession(sample_ops=OPS, engine="vector").run(mcf_ref)
-        auto = PerfSession(sample_ops=OPS, engine="auto").run(mcf_ref)
+        scalar = session_on("scalar").run(mcf_ref)
+        vec = session_on("vector").run(mcf_ref)
+        auto = PerfSession(sample_ops=OPS).run(mcf_ref)
         assert dict(scalar) == dict(vec) == dict(auto)
 
     def test_resolved_engine_exposed(self, mcf_ref):
         assert PerfSession(sample_ops=OPS).resolved_engine == "vector"
-        assert (
-            PerfSession(sample_ops=OPS, engine="scalar").resolved_engine
-            == "scalar"
-        )
         session = PerfSession(
             config=policy_config("random"), sample_ops=OPS
         )
         assert session.resolved_engine == "scalar"
 
-    def test_explicit_vector_on_unsupported_config_fails_eagerly(self):
-        with pytest.raises(SimulationError, match="vector engine unsupported"):
-            PerfSession(
-                config=policy_config("random"), sample_ops=OPS,
-                engine="vector",
-            )
-
 
 # Module-level sessions so hypothesis examples share warm state.
-_SCALAR_SESSION = PerfSession(sample_ops=6_000, engine="scalar")
-_AUTO_SESSION = PerfSession(sample_ops=6_000, engine="auto")
+_SCALAR_SESSION = session_on("scalar", 6_000)
+_AUTO_SESSION = PerfSession(sample_ops=6_000)
 _GENERATOR = TraceGenerator(haswell_e5_2650l_v3())
 
 
