@@ -6,13 +6,13 @@ observability off and on, on five REF pairs of the Table-I machine at
 the same traces, so the overhead *ratio* is portable even though
 absolute times are not.
 
-The enabled side runs a sinkless tracer plus a live metrics registry —
-the worker-process setup, the hottest configuration that must stay
-cheap — and pays one run-ledger append per timed run, so the budget
-also covers the record the :class:`~repro.runner.SuiteRunner` persists
-after every sweep.  The span profiler is wired into the tracer but not
-requested, so each span's one-attribute gate check is inside the budget
-too.
+The enabled side runs a sinkless tracer: the worker-process setup, the
+hottest configuration that must stay cheap.  Spans are the one
+telemetry channel, so there is no metrics registry to feed.  Each timed
+run also pays one run-ledger append, so the budget covers the record
+the :class:`~repro.runner.SuiteRunner` persists after every sweep.
+The span profiler is wired into the tracer but not requested, so each
+span's one-attribute gate check is inside the budget too.
 
 Usage::
 

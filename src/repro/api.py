@@ -7,10 +7,11 @@ Everything downstream code needs lives here under one import::
 ``repro.api`` re-exports from the implementation modules but adds no logic
 of its own; its :data:`__all__` is the compatibility contract.  Names may
 be *added* here over time, but an existing name never changes meaning or
-disappears without a deprecation cycle.  Deep imports
-(``repro.uarch.core``, ``repro.workloads.generator``, ...) still work but
-are implementation detail: they may move between releases, and the
-``LAY001`` lint check keeps the shipped examples and docs off them.
+disappears without a deprecation cycle.  The one exception so far is the
+metrics-registry class, deleted with the registry (docs/api.md).  Deep
+imports (``repro.uarch.core``, ``repro.workloads.generator``, ...) still
+work but are implementation detail: they may move between releases, and
+the ``LAY001`` lint check keeps the shipped examples and docs off them.
 
 Each name is imported from its module on first use (:mod:`repro.lazy`),
 so ``import repro.api`` itself loads no numpy, and a sweep built from
@@ -28,10 +29,10 @@ The facade groups into:
   :func:`solve_pipeline_params`, configs and presets.
 - **Analysis** — :class:`Characterizer`, :class:`SubsetSelector`,
   :func:`feature_vector`, the phase-analysis toolkit.
-- **Observability** — :class:`Tracer`, :class:`MetricsRegistry`, the
-  run ledger and drift watchdog (:class:`RunLedger`,
-  :func:`check_ledger`), and the :mod:`repro.obs` module itself for
-  ``obs.enable()`` / ``obs.profile()``.
+- **Observability** — :class:`Tracer` and the trace readers, the run
+  ledger and drift watchdog (:class:`RunLedger`, :func:`check_ledger`),
+  and the :mod:`repro.obs` module itself for ``obs.enable()`` /
+  ``obs.profile()``.
 - **Errors** — the full exception hierarchy rooted at :class:`ReproError`.
 """
 
@@ -57,9 +58,9 @@ __getattr__, __dir__ = attach(globals(), {
     ),
     ".obs": (
         "CriticalPathReport", "DriftDetector", "DriftReport",
-        "DriftThresholds", "MetricsRegistry", "RunLedger", "SpanProfiler",
-        "Tracer", "UtilizationReport", "check_ledger", "chrome_trace",
-        "critical_path", "export_chrome_trace", "load_spans", "utilization",
+        "DriftThresholds", "RunLedger", "SpanProfiler", "Tracer",
+        "UtilizationReport", "check_ledger", "chrome_trace", "critical_path",
+        "export_chrome_trace", "load_spans", "utilization",
     ),
     ".perf": ("CounterReport", "PerfSession"),
     ".phases": (
@@ -128,7 +129,6 @@ __all__ = [
     "DriftDetector",
     "DriftReport",
     "DriftThresholds",
-    "MetricsRegistry",
     "RunLedger",
     "SpanProfiler",
     "Tracer",

@@ -1,10 +1,11 @@
 """``repro.obs`` — structured observability for the measurement pipeline.
 
 The pipeline that characterizes SPEC is itself an instrumented system:
-this package gives it spans (:class:`Tracer`), metrics
-(:class:`MetricsRegistry`), and the hot-path hooks (:func:`profile`,
-:func:`count`, :func:`observe`) that the runner, sessions, engines, and
-stats stages call.
+this package gives it spans (:class:`Tracer`) and the hot-path hooks
+(:func:`profile`, :func:`record`) that the runner, sessions, engines,
+and stats stages call.  The span tree is the one telemetry channel:
+what a sweep did and how long it took is read from its spans, its
+:class:`~repro.runner.runner.RunManifest` and its run-ledger record.
 
 Observability is **off by default** and costs one early-out per hook
 when off (the hooks return a shared no-op), so the engine benchmarks
@@ -14,15 +15,13 @@ are unaffected.  Turn it on per process::
 
     obs.enable(trace_path="run.jsonl")      # spans -> ring buffer + JSONL
     ... run the pipeline ...
-    print(obs.registry().to_prometheus())   # metrics dump
     obs.disable()                           # close the sink, drop state
 
-The CLI exposes the same switch as ``repro run --trace out.jsonl
---metrics``.  Worker processes get their own (sinkless) tracer and
-registry; the :class:`~repro.runner.runner.SuiteRunner` ships their
-spans and metric snapshots back through the existing picklable result
-channel and stitches them into the parent's trace (``Tracer.graft`` /
-``MetricsRegistry.merge``).
+The CLI exposes the same switch as ``repro run --trace out.jsonl``.
+Worker processes get their own (sinkless) tracer; the
+:class:`~repro.runner.runner.SuiteRunner` ships their spans back through
+the existing picklable result channel and stitches them into the
+parent's trace (``Tracer.graft``).
 
 Zero dependencies beyond the standard library, by design.
 """
@@ -41,13 +40,6 @@ from .ledger import (
     characteristic_digest,
     default_ledger_path,
 )
-from .metrics import (
-    DEFAULT_BUCKETS,
-    DEFAULT_PREFIX,
-    ERROR_BUCKETS,
-    MetricsError,
-    MetricsRegistry,
-)
 from .trace import (
     NULL_SPAN,
     ObsError,
@@ -59,19 +51,14 @@ if TYPE_CHECKING:  # pragma: no cover - imported on first use below
     from .profiler import SpanProfiler
 
 __all__ = [
-    "DEFAULT_BUCKETS",
-    "DEFAULT_PREFIX",
     "CriticalPathReport",
     "DriftDetector",
     "DriftFinding",
     "DriftReport",
     "DriftThresholds",
-    "ERROR_BUCKETS",
     "LEDGER_ENV",
     "LEDGER_SCHEMA",
     "LedgerError",
-    "MetricsError",
-    "MetricsRegistry",
     "NULL_SPAN",
     "ObsError",
     "PathSegment",
@@ -90,7 +77,6 @@ __all__ = [
     "characteristic_digest",
     "check_ledger",
     "chrome_trace",
-    "count",
     "critical_path",
     "default_ledger_path",
     "disable",
@@ -98,19 +84,16 @@ __all__ = [
     "enabled",
     "export_chrome_trace",
     "load_spans",
-    "observe",
     "paper_anchor_vector",
     "active_profiler",
     "profile",
     "profile_stage_names",
     "record",
-    "registry",
     "render_collapsed",
     "render_table",
     "render_top",
     "render_tree",
     "sampling_rel_sigma",
-    "set_gauge",
     "summarize",
     "summarize_spans",
     "tracer",
@@ -136,12 +119,11 @@ __getattr__, __dir__ = attach(globals(), {
 })
 
 # ---------------------------------------------------------------------------
-# Process-local state.  One tracer + one registry per process; the hooks
-# below early-out on ``None`` so the disabled path stays branch-cheap.
+# Process-local state.  One tracer per process; the hooks below
+# early-out on ``None`` so the disabled path stays branch-cheap.
 # ---------------------------------------------------------------------------
 
 _TRACER: Optional[Tracer] = None
-_REGISTRY: Optional[MetricsRegistry] = None
 _PROFILER: Optional[SpanProfiler] = None
 
 
@@ -149,21 +131,18 @@ def enable(
     trace_path: Optional[str] = None,
     profile_stages=None,
 ) -> Tracer:
-    """Turn observability on for this process: a tracer and a metrics
-    registry (idempotent-ish: calling again replaces the tracer, closing
-    any previous sink, and keeps the registry).
+    """Turn observability on for this process: a tracer (idempotent-ish:
+    calling again replaces the tracer, closing any previous sink).
 
     ``profile_stages`` names the span stages (``{"engine.exec"}``) the
     span-scoped profiler collects inside; ``None`` or an empty set — the
     default — leaves the profiler off entirely, so the only hot-path
     cost is one attribute check per span.
     """
-    global _TRACER, _REGISTRY, _PROFILER
+    global _TRACER, _PROFILER
     if _TRACER is not None:
         _TRACER.close()
     _TRACER = Tracer(sink_path=trace_path)
-    if _REGISTRY is None:
-        _REGISTRY = MetricsRegistry()
     if profile_stages:
         from .profiler import SpanProfiler
 
@@ -175,12 +154,11 @@ def enable(
 
 
 def disable() -> None:
-    """Turn observability off and release the tracer/registry."""
-    global _TRACER, _REGISTRY, _PROFILER
+    """Turn observability off and release the tracer."""
+    global _TRACER, _PROFILER
     if _TRACER is not None:
         _TRACER.close()
     _TRACER = None
-    _REGISTRY = None
     _PROFILER = None
 
 
@@ -191,11 +169,6 @@ def enabled() -> bool:
 def tracer() -> Optional[Tracer]:
     """The active tracer, or None when disabled."""
     return _TRACER
-
-
-def registry() -> Optional[MetricsRegistry]:
-    """The active metrics registry, or None when disabled."""
-    return _REGISTRY
 
 
 def active_profiler() -> Optional[SpanProfiler]:
@@ -238,36 +211,8 @@ def record(name: str, wall_s: float = 0.0, **attrs: object) -> None:
         _TRACER.record(name, wall_s=wall_s, **attrs)
 
 
-def count(name: str, amount: float = 1.0, help_text: str = "",
-          **labels: str) -> None:
-    """Increment a counter (no-op when disabled)."""
-    if _REGISTRY is not None:
-        _REGISTRY.counter(name, help_text).labels(**labels).inc(amount)
-
-
-def set_gauge(name: str, value: float, help_text: str = "",
-              **labels: str) -> None:
-    """Set a gauge (no-op when disabled)."""
-    if _REGISTRY is not None:
-        _REGISTRY.gauge(name, help_text).labels(**labels).set(value)
-
-
-def observe(name: str, value: float, help_text: str = "",
-            buckets=None, **labels: str) -> None:
-    """Observe a histogram value (no-op when disabled).
-
-    ``buckets`` fixes the family's bucket layout on first use — pass
-    :data:`~repro.obs.metrics.ERROR_BUCKETS` for score-shaped families
-    instead of the wall-time-shaped default.
-    """
-    if _REGISTRY is not None:
-        _REGISTRY.histogram(
-            name, help_text, buckets=buckets
-        ).labels(**labels).observe(value)
-
-
 def worker_payload() -> Optional[Dict[str, object]]:
-    """Drain this process's spans + metrics into one picklable payload.
+    """Drain this process's spans into one picklable payload.
 
     Called by pool workers after each task; returns ``None`` when
     observability is off so the result channel carries no dead weight.
@@ -282,9 +227,6 @@ def worker_payload() -> Optional[Dict[str, object]]:
         "epoch_unix": _TRACER.epoch_unix,
         "pid": _TRACER.pid,
     }
-    if _REGISTRY is not None:
-        payload["metrics"] = _REGISTRY.dump()
-        _REGISTRY.reset()
     if _PROFILER is not None:
         payload["profile"] = _PROFILER.data()
         _PROFILER.reset()
@@ -295,8 +237,8 @@ def absorb_worker_payload(
     payload: Optional[Dict[str, object]],
     extra_root_attrs: Optional[Dict[str, object]] = None,
 ) -> None:
-    """Graft a worker's spans and merge its metrics + profile into this
-    process, rebasing span start offsets onto this tracer's clock."""
+    """Graft a worker's spans and merge its profile into this process,
+    rebasing span start offsets onto this tracer's clock."""
     global _PROFILER
     if payload is None:
         return
@@ -309,8 +251,6 @@ def absorb_worker_payload(
             payload["spans"], extra_root_attrs=extra_root_attrs,
             rebase_s=rebase,
         )
-    if _REGISTRY is not None and payload.get("metrics"):
-        _REGISTRY.merge(payload["metrics"])
     worker_profile = payload.get("profile")
     if worker_profile:
         if _PROFILER is None:

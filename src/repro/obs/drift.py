@@ -24,10 +24,9 @@ answers two questions about the newest sweep:
    the fidelity checks the paper itself runs on its cluster-subset
    estimates.
 
-Both detectors export their scores as gauges/histograms through a
-:class:`~repro.obs.metrics.MetricsRegistry` when one is supplied, using
-the error-shaped :data:`~repro.obs.metrics.ERROR_BUCKETS` rather than
-the wall-time default buckets.
+:meth:`DriftReport.render` is the one place a pass's numbers are read:
+the pairs and comparisons it made, the comparable history it used, and
+every finding and warning with its score.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ledger import RunLedger
-from .metrics import ERROR_BUCKETS, MetricsRegistry
 
 #: Modified z-score constant: for normal data, MAD * 1.4826 estimates
 #: sigma, so 0.6745 * (x - median) / MAD is comparable to a z-score.
@@ -170,7 +168,10 @@ class DriftReport:
     run_id: str
     history_runs: int
     checked_pairs: int = 0
+    #: Characteristics scored against ledger history (the drift check).
     checked_characteristics: int = 0
+    #: Characteristics scored against the paper anchors (fidelity).
+    checked_anchors: int = 0
     findings: List[DriftFinding] = field(default_factory=list)
     warnings: List[DriftFinding] = field(default_factory=list)
     skipped_pairs: List[str] = field(default_factory=list)
@@ -182,10 +183,11 @@ class DriftReport:
 
     def render(self) -> str:
         lines = [
-            "run %s: %d pair(s), %d characteristic check(s), "
-            "%d comparable prior run(s)"
+            "run %s: %d pair(s), %d drift check(s), %d fidelity "
+            "check(s), %d comparable prior run(s)"
             % (self.run_id, self.checked_pairs,
-               self.checked_characteristics, self.history_runs)
+               self.checked_characteristics, self.checked_anchors,
+               self.history_runs)
         ]
         lines.extend("note: %s" % note for note in self.notes)
         if self.skipped_pairs:
@@ -307,13 +309,8 @@ def _pair_profiles() -> Dict[str, object]:
 class DriftDetector:
     """Scores one run record against ledger history and paper anchors."""
 
-    def __init__(
-        self,
-        thresholds: Optional[DriftThresholds] = None,
-        registry: Optional[MetricsRegistry] = None,
-    ):
+    def __init__(self, thresholds: Optional[DriftThresholds] = None):
         self.thresholds = thresholds or DriftThresholds()
-        self.registry = registry
         self._anchors: Optional[Dict[str, object]] = None
 
     # -- scoring -----------------------------------------------------------
@@ -331,7 +328,6 @@ class DriftDetector:
         self._check_drift(current, history, report)
         self._check_fidelity(current, report)
         self._check_wall(current, history, report)
-        self._export(report)
         return report
 
     def _check_drift(
@@ -392,6 +388,7 @@ class DriftDetector:
             for name, value in sorted(digest.items()):
                 if name not in anchor:
                     continue
+                report.checked_anchors += 1
                 expected = anchor[name]
                 atol = (
                     limits.paper_atol_pct if name.endswith("(%)") else 0.0
@@ -399,7 +396,6 @@ class DriftDetector:
                 scale = max(abs(expected), 1e-12)
                 error = abs(float(value) - expected)
                 rel = error / scale
-                self._observe("paper_rel_error", rel)
                 noise = sampling_rel_sigma(name, anchor, sample_ops)
                 band = atol + (
                     limits.paper_rtol + limits.noise_z * noise
@@ -436,44 +432,10 @@ class DriftDetector:
             else:
                 report.warnings.append(finding)
 
-    # -- metrics export ----------------------------------------------------
-
-    def _observe(self, name: str, value: float) -> None:
-        if self.registry is not None:
-            self.registry.histogram(
-                name, "drift-watchdog score distribution",
-                buckets=ERROR_BUCKETS,
-            ).observe(value)
-
-    def _export(self, report: DriftReport) -> None:
-        """Gauge the pass/fail totals and flagged scores into the registry."""
-        if self.registry is None:
-            return
-        self.registry.gauge(
-            "drift_findings", "characteristics flagged by the drift check"
-        ).set(sum(1 for f in report.findings if f.kind == "drift"))
-        self.registry.gauge(
-            "fidelity_findings",
-            "characteristics outside the paper-anchor tolerance",
-        ).set(sum(1 for f in report.findings if f.kind == "fidelity"))
-        self.registry.gauge(
-            "drift_history_runs", "comparable prior runs baselined against"
-        ).set(report.history_runs)
-        for finding in report.findings + report.warnings:
-            self.registry.gauge(
-                "drift_score",
-                "score of each flagged pair/characteristic "
-                "(robust z for drift, relative error otherwise)",
-            ).labels(
-                kind=finding.kind, pair=finding.pair,
-                characteristic=finding.characteristic,
-            ).set(finding.score)
-
 
 def check_ledger(
     ledger: RunLedger,
     thresholds: Optional[DriftThresholds] = None,
-    registry: Optional[MetricsRegistry] = None,
 ) -> Optional[DriftReport]:
     """Watchdog pass over a ledger's newest run.
 
@@ -485,5 +447,5 @@ def check_ledger(
         return None
     current = runs[-1]
     history = ledger.comparable_history(current, runs)
-    detector = DriftDetector(thresholds=thresholds, registry=registry)
+    detector = DriftDetector(thresholds=thresholds)
     return detector.check(current, history)

@@ -22,11 +22,11 @@ Options follow the command they apply to: ``repro run all --jobs 4``.
 since ``pair`` runs one worker.  A sweep picks its execution engine
 itself: the vector fast path wherever it is exact, the scalar reference
 elsewhere.  ``run``, ``pair`` and ``phases``, the commands that open
-spans, take the observability options (``--trace``, ``--metrics``,
+spans, take the observability options (``--trace``,
 ``--profile-stage``, ``--profile-out``).  An option before the command,
 or on a command that does not read it, is a usage error (exit 2) whose
-usage line names the command.  ``repro obs check --metrics`` is a flag
-of its own.
+usage line names the command.  ``repro run --pairs N`` prints a run
+manifest and writes no artifacts, so it takes no ``--output``.
 """
 
 from __future__ import annotations
@@ -109,11 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "(see 'repro trace summarize')",
     )
     group.add_argument(
-        "--metrics",
-        action="store_true",
-        help="collect metrics and print a Prometheus-format dump on exit",
-    )
-    group.add_argument(
         "--profile-stage",
         action="append",
         metavar="STAGE",
@@ -138,7 +133,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("experiments", nargs="*",
                      help="experiment ids, or 'all'")
     run.add_argument("--output", metavar="DIR", default=None,
-                     help="also write text + CSV artifacts to DIR")
+                     help="also write the experiments' text + CSV "
+                          "artifacts to DIR (not with --pairs)")
     run.add_argument(
         "--pairs", type=int, default=None, metavar="N",
         help="instead of experiments: characterize the first N CPU2017 "
@@ -301,11 +297,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--fail-on-wall", action="store_true",
         help="escalate wall-time outliers from warnings to failures",
     )
-    # Its own dest: `main` reads `metrics` as the observability option.
-    check.add_argument(
-        "--metrics", action="store_true", dest="score_metrics",
-        help="also print the watchdog scores as Prometheus metrics",
-    )
     return parser
 
 
@@ -346,6 +337,9 @@ def _cmd_run(args) -> int:
             raise SimulationError(
                 "--pairs and experiment ids are mutually exclusive"
             )
+        if args.output:
+            # --pairs prints a manifest and exports nothing.
+            raise SimulationError("--pairs and --output are mutually exclusive")
         return _cmd_run_pairs(args)
     if not args.experiments:
         raise SimulationError(
@@ -462,7 +456,7 @@ def _cmd_lint(args) -> int:
 def _cmd_obs(args) -> int:
     import dataclasses
 
-    from ..obs import DriftThresholds, MetricsRegistry, RunLedger, check_ledger
+    from ..obs import DriftThresholds, RunLedger, check_ledger
     from ..obs.ledger import diff_runs, render_history
 
     ledger = RunLedger(path=args.ledger)
@@ -500,14 +494,11 @@ def _cmd_obs(args) -> int:
         dataclasses.replace(DriftThresholds(), **overrides)
         if overrides else None
     )
-    registry = MetricsRegistry() if args.score_metrics else None
-    report = check_ledger(ledger, thresholds=thresholds, registry=registry)
+    report = check_ledger(ledger, thresholds=thresholds)
     if report is None:
         print("ledger %s holds no runs; nothing to check" % ledger.path)
         return 0
     print(report.render())
-    if registry is not None:
-        print(registry.to_prometheus(), end="")
     return 0 if report.ok else 1
 
 
@@ -609,7 +600,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     # Only the commands that open spans declare the observability options.
     trace_path = getattr(args, "trace", None)
-    metrics = getattr(args, "metrics", False)
     profile_stages = tuple(getattr(args, "profile_stage", None) or ())
     profile_out = getattr(args, "profile_out", None)
     if profile_out and not profile_stages:
@@ -618,7 +608,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: --profile-out requires --profile-stage",
               file=sys.stderr)
         return 1
-    obs_on = bool(trace_path or metrics or profile_stages)
+    obs_on = bool(trace_path or profile_stages)
     status = 1
     format_warning = warnings.formatwarning
     warnings.formatwarning = _warning_line
@@ -647,10 +637,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     finally:
         warnings.formatwarning = format_warning
         if obs_on and obs.enabled():
-            if metrics:
-                registry = obs.registry()
-                if registry is not None:
-                    print(registry.to_prometheus(), end="")
             profiler = obs.active_profiler()
             if profiler is not None:
                 from ..obs.profiler import render_collapsed, render_top

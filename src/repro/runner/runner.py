@@ -70,9 +70,9 @@ def _init_worker(
 ) -> None:
     global _WORKER_SESSION
     if obs_on:
-        # Sinkless tracer + registry per worker; spans, metric snapshots,
-        # and span-scoped profiler aggregates ride home on the result
-        # tuple and are stitched into the parent's trace by the runner.
+        # Sinkless tracer per worker; spans and span-scoped profiler
+        # aggregates ride home on the result tuple and are stitched into
+        # the parent's trace by the runner.
         obs.enable(profile_stages=profile_stages)
     _WORKER_SESSION = PerfSession(config=config, sample_ops=sample_ops)
 
@@ -89,7 +89,7 @@ def _run_pair(
         payload = ("error", (type(error).__name__, str(error)))
     status, body = payload
     # worker_payload() drains this task's spans (error spans included —
-    # the parent's trace shows the failed attempt) and metric deltas.
+    # the parent's trace shows the failed attempt).
     return status, body, time.perf_counter() - started, obs.worker_payload()
 
 
@@ -403,7 +403,6 @@ class SuiteRunner:
             run_span.set("cache_hits", hits)
             run_span.set("cache_misses", misses)
             run_span.set("failures", manifest.failure_count)
-        self._record_run_metrics(manifest)
         ordered = {
             p.pair_name: reports[p.pair_name]
             for p in profiles
@@ -416,53 +415,23 @@ class SuiteRunner:
         self, manifest: RunManifest, reports: Dict[str, CounterReport]
     ) -> None:
         """Append one run record to the ledger (best-effort, like the
-        cache: a write failure never sinks a sweep)."""
+        cache: a write failure never sinks a sweep; it leaves a
+        ``ledger.failure`` marker span and no ``last_run_record``)."""
         if self.ledger is None:
             return
-        started = time.perf_counter()
         record = build_run_record(
             manifest, reports, self.config, self.sample_ops,
             WARMUP_FRACTION, self._session.resolved_engine,
         )
         try:
             self.ledger.append(record)
-        except OSError:
-            obs.count(
-                "ledger_write_failures_total",
-                help_text="run records the ledger failed to persist",
+        except OSError as error:
+            obs.record(
+                "ledger.failure", path=str(self.ledger.path),
+                error_type=type(error).__name__,
             )
             return
         self.last_run_record = record
-        obs.count("ledger_writes_total",
-                  help_text="run records appended to the ledger")
-        obs.observe("ledger_write_seconds", time.perf_counter() - started,
-                    help_text="wall time spent building and appending one "
-                              "ledger record")
-
-    def _record_run_metrics(self, manifest: RunManifest) -> None:
-        """Fold one sweep's accounting into the process metrics."""
-        if obs.registry() is None:
-            return
-        obs.count("suite_runs_total",
-                  help_text="SuiteRunner.run sweeps completed")
-        obs.count("pairs_total", manifest.total_pairs,
-                  help_text="pairs requested across sweeps")
-        obs.count("cache_hits_total", manifest.cache_hits,
-                  help_text="pairs served from the result cache")
-        obs.count("cache_misses_total", manifest.cache_misses,
-                  help_text="pairs that had to be simulated")
-        obs.count("pair_failures_total", manifest.failure_count,
-                  help_text="pairs that failed after all attempts")
-        retries = sum(
-            max(0, record.attempts - 1) for record in manifest.records
-        )
-        obs.count("retries_total", retries,
-                  help_text="extra attempts beyond each pair's first")
-        obs.set_gauge("cache_hit_ratio", manifest.hit_rate,
-                      help_text="cache hits / pairs of the last sweep")
-        for record in manifest.records:
-            obs.observe("pair_seconds", record.seconds,
-                        help_text="per-pair wall time (cached and simulated)")
 
     # -- internals ---------------------------------------------------------
 
@@ -507,10 +476,6 @@ class SuiteRunner:
             obs.record(
                 "pair.failure", pair=name, error_type=error_type,
                 attempts=attempts, retries=_RETRIES,
-            )
-            obs.count(
-                "validation_failures_total",
-                help_text="reports rejected by the counter-consistency gate",
             )
             finish(PairRecord(name, seconds, False, attempts, error_type))
             return

@@ -1,5 +1,5 @@
 # repro: noqa-file[LAY001] — deliberate upward edge: the observability
-# seam (tracer spans, metric counters) is threaded through the leaf layers
+# seam (tracer spans) is threaded through the leaf layers
 # by design; repro.obs is import-light and never imports back down.
 """Agglomerative hierarchical clustering (paper Section V-B).
 

@@ -1,5 +1,5 @@
 # repro: noqa-file[LAY001] — deliberate upward edge: the observability
-# seam (tracer spans, metric counters) is threaded through the leaf layers
+# seam (tracer spans) is threaded through the leaf layers
 # by design; repro.obs is import-light and never imports back down.
 """The simulated core: executes a synthetic trace against the substrate.
 
@@ -18,7 +18,6 @@ rates, mispredict rates, CPI components) come from the measured window.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -188,27 +187,12 @@ class SimulatedCore:
         with obs.profile(
             "engine.exec", engine=engine_used, ops=trace.n_ops
         ):
-            started = time.perf_counter() if obs.enabled() else 0.0
             if hit_levels is not None:
                 measurement = vector.execute_vector(
                     self.config, trace, warmup_fraction, hit_levels
                 )
             else:
                 measurement = self._execute_scalar(trace, warmup_fraction)
-            if obs.enabled():
-                elapsed = time.perf_counter() - started
-                obs.count("engine_runs_total",
-                          help_text="trace executions per engine",
-                          engine=engine_used)
-                obs.count("engine_ops_total", trace.n_ops,
-                          help_text="simulated micro-ops per engine",
-                          engine=engine_used)
-                if elapsed > 0:
-                    obs.set_gauge(
-                        "engine_ops_per_second", trace.n_ops / elapsed,
-                        help_text="throughput of the most recent execution",
-                        engine=engine_used,
-                    )
         return self._compose(trace, params, warmup_fraction, measurement)
 
     def _execute_scalar(

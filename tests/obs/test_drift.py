@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.obs import MetricsRegistry
 from repro.obs.drift import (
     DriftDetector,
     DriftThresholds,
@@ -164,6 +163,14 @@ class TestDriftDetection:
         report = DriftDetector().check(current, history)
         assert report.ok
         assert any("not trusted" in note for note in report.notes)
+        # A young ledger still compares every characteristic against
+        # the paper anchors, and the header says so.
+        assert report.checked_characteristics == 0
+        assert report.checked_anchors == 20
+        assert report.render().splitlines()[0] == (
+            "run current00000: 1 pair(s), 0 drift check(s), "
+            "20 fidelity check(s), 1 comparable prior run(s)"
+        )
 
     def test_wall_time_outlier_warns_not_fails(self, suite17):
         history = self.history(suite17)
@@ -218,21 +225,6 @@ class TestPaperFidelity:
         report = DriftDetector().check(make_record("r" * 12, pairs), [])
         assert report.ok
         assert report.skipped_pairs == ["999.unknown/ref"]
-
-
-class TestMetricsExport:
-    def test_scores_exported_as_gauges(self, suite17):
-        pairs = anchored_pairs(suite17, "505.mcf_r/ref")
-        pairs["505.mcf_r/ref"]["inst_retired.any"] *= 1.5
-        registry = MetricsRegistry()
-        DriftDetector(registry=registry).check(make_record("r" * 12, pairs), [])
-        text = registry.to_prometheus()
-        assert "repro_fidelity_findings 1" in text
-        assert "repro_drift_score" in text
-        assert 'pair="505.mcf_r/ref"' in text
-        assert "repro_paper_rel_error_bucket" in text
-        # Error-shaped buckets, not the wall-time defaults.
-        assert 'le="0.0001"' in text
 
 
 class TestCheckLedger:

@@ -1,4 +1,4 @@
-"""End-to-end observability tests: spans and metrics through the runner.
+"""End-to-end observability tests: spans through the runner.
 
 The span-tree *shape* is part of the contract: under a fixed seed, two
 runs differ only in timing floats, so these tests pin names, nesting,
@@ -96,21 +96,33 @@ class TestGoldenSpanTree:
         )
 
     def test_sweep_metrics(self, tmp_path, pairs):
+        """A sweep's counts are read from its spans and its manifest."""
         obs.enable()
         runner = SuiteRunner(
             sample_ops=SAMPLE_OPS, workers=1, cache_dir=tmp_path / "cache"
         )
         runner.run(pairs)
-        runner.run(pairs)
-        text = obs.registry().to_prometheus()
+        cached = runner.run(pairs)
+        records = obs.tracer().finished()
         obs.disable()
-        assert "repro_suite_runs_total 2" in text
-        assert "repro_pairs_total 4" in text
-        assert "repro_cache_hits_total 2" in text
-        assert "repro_cache_misses_total 2" in text
-        assert "repro_cache_hit_ratio 1" in text
-        assert "repro_pair_seconds_count 4" in text
-        assert 'repro_engine_runs_total{engine="vector"} 2' in text
+        sweeps = [
+            (r["attrs"]["pairs"], r["attrs"]["cache_hits"],
+             r["attrs"]["cache_misses"], r["attrs"]["failures"])
+            for r in records if r["name"] == "suite.run"
+        ]
+        assert sweeps == [(2, 0, 2, 0), (2, 2, 0, 0)]
+        assert cached.manifest.hit_rate == 1.0
+        assert "(2 cached, 0 simulated, 0 failed" in cached.manifest.summary()
+        # Per-pair seconds: a cache hit's pair.run carries the manifest's.
+        pair_spans = [r for r in records if r["name"] == "pair.run"]
+        assert len(pair_spans) == 4
+        assert [r["wall_s"] for r in pair_spans[2:]] == [
+            record.seconds for record in cached.manifest.records
+        ]
+        assert [
+            (r["attrs"]["engine"], r["attrs"]["ops"])
+            for r in records if r["name"] == "engine.exec"
+        ] == [("vector", SAMPLE_OPS)] * 2
 
 
 class TestWorkerFailureTrace:
@@ -145,6 +157,7 @@ class TestWorkerFailureTrace:
         assert pair_span["attrs"]["attempts"] == 2
 
     def test_metrics_count_failures_and_retries(self, pairs):
+        """Failures are on suite.run, retries on pair.run and pair.retry."""
         obs.enable()
         runner = SuiteRunner(
             sample_ops=SAMPLE_OPS, workers=1, use_cache=False
@@ -155,10 +168,14 @@ class TestWorkerFailureTrace:
 
         runner._session.run = broken
         runner.run(pairs[:1])
-        text = obs.registry().to_prometheus()
+        records = obs.tracer().finished()
         obs.disable()
-        assert "repro_pair_failures_total 1" in text
-        assert "repro_retries_total 1" in text
+        (suite_span,) = [r for r in records if r["name"] == "suite.run"]
+        assert suite_span["attrs"]["failures"] == 1
+        (pair_span,) = [r for r in records if r["name"] == "pair.run"]
+        assert pair_span["attrs"]["attempts"] == 2
+        (retry,) = [r for r in records if r["name"] == "pair.retry"]
+        assert retry["parent"] == pair_span["id"]
 
 
 class TestPooledGraft:
@@ -192,14 +209,20 @@ class TestPooledGraft:
         assert "counters.validate" in stage_names
 
     def test_worker_metrics_merge_into_parent(self, pairs):
+        """Each worker's engine.exec, with its engine and op count, is
+        grafted into the parent's trace."""
         obs.enable()
         runner = SuiteRunner(
             sample_ops=SAMPLE_OPS, workers=2, use_cache=False
         )
         runner.run(pairs)
-        text = obs.registry().to_prometheus()
+        records = obs.tracer().finished()
         obs.disable()
-        assert 'repro_engine_runs_total{engine="vector"} 2' in text
+        exec_spans = [r for r in records if r["name"] == "engine.exec"]
+        assert [
+            (r["attrs"]["engine"], r["attrs"]["ops"]) for r in exec_spans
+        ] == [("vector", SAMPLE_OPS)] * 2
+        assert all(r["pid"] != os.getpid() for r in exec_spans)
 
 
 class TestPooledFailureTrace:
@@ -404,13 +427,9 @@ class TestDisabledIsInert:
         result = runner.run(pairs)
         assert result.ok
         assert obs.tracer() is None
-        assert obs.registry() is None
 
     def test_hooks_are_noops_when_disabled(self):
         obs.record("x")
-        obs.count("x")
-        obs.set_gauge("x", 1.0)
-        obs.observe("x", 1.0)
         with obs.profile("x") as span:
             span.set("k", "v")
         assert obs.worker_payload() is None

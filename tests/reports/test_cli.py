@@ -18,7 +18,8 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 @pytest.fixture(autouse=True)
 def obs_off_after_test():
-    """--trace/--metrics flip process-global obs state; reset per test."""
+    """--trace/--profile-stage flip process-global obs state; reset per
+    test."""
     obs.disable()
     yield
     obs.disable()
@@ -80,22 +81,24 @@ class TestPhases:
 
 
 #: The sweep and observability options, each with a value a command
-#: that reads it would accept.  No command reads ``--engine``: a sweep
-#: picks its engine itself.
+#: that reads it would accept.
 SWEEP_OPTIONS = {
     "--sample-ops": ["5000"], "--jobs": ["1"], "--no-cache": [],
-    "--cache-dir": ["{tmp}/cache"], "--engine": ["scalar"],
+    "--cache-dir": ["{tmp}/cache"],
 }
 OBS_OPTIONS = {
-    "--trace": ["{tmp}/t.jsonl"], "--metrics": [],
+    "--trace": ["{tmp}/t.jsonl"],
     "--profile-stage": ["engine.exec"], "--profile-out": ["{tmp}/p.txt"],
 }
-OPTIONS = {**SWEEP_OPTIONS, **OBS_OPTIONS}
+#: Options no command reads: a sweep picks its engine itself, and spans
+#: are the one telemetry channel.
+UNREAD_OPTIONS = {"--engine": ["scalar"], "--metrics": []}
+OPTIONS = {**SWEEP_OPTIONS, **OBS_OPTIONS, **UNREAD_OPTIONS}
 
 #: The options each command reads; the other commands read none.
 READS = {
-    "run": set(OPTIONS) - {"--engine"},
-    "pair": set(OPTIONS) - {"--jobs", "--engine"},
+    "run": set(SWEEP_OPTIONS) | set(OBS_OPTIONS),
+    "pair": set(SWEEP_OPTIONS) - {"--jobs"} | set(OBS_OPTIONS),
     "phases": set(OBS_OPTIONS),
 }
 
@@ -142,6 +145,9 @@ def misplaced_options():
                       "--sample-ops", "1", "--jobs", "0",
                       "--cache-dir", "/nonexistent/x"], "repro phases",
                      id="phases-sweep"),
+        pytest.param(["obs", "check", "--metrics",
+                      "--ledger", "{tmp}/ledger.jsonl"], "repro obs check",
+                     id="obs-check-metrics"),
     ]
     return cases
 
@@ -202,6 +208,23 @@ class TestRunPairs:
         assert main(["run", "table1", "--pairs", "2"]) == 1
         assert "mutually exclusive" in capsys.readouterr().err
 
+    def test_run_pairs_rejects_output(self, tmp_path, capsys, monkeypatch):
+        # --pairs exports nothing, so an --output it would drop is an
+        # error before any pair runs.
+        def sweep(self, *args, **kwargs):
+            pytest.fail("a pair ran with --pairs and --output")
+
+        monkeypatch.setattr(SuiteRunner, "run", sweep)
+        out = tmp_path / "out"
+        assert main(["run", "--pairs", "1", "--output", str(out),
+                     "--no-cache", "--jobs", "1", "--sample-ops", "2000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: --pairs and --output are mutually exclusive"
+        ]
+        assert not out.exists()
+
     def test_run_without_work_is_an_error(self, capsys):
         assert main(["run"]) == 1
         assert "nothing to run" in capsys.readouterr().err
@@ -216,19 +239,21 @@ class TestObservabilityFlags:
         trace_path = tmp_path / "t.jsonl"
         code = main([
             "run", "--pairs", "2", "--sample-ops", "5000", "--no-cache",
-            "--jobs", "1", "--trace", str(trace_path), "--metrics",
+            "--jobs", "1", "--trace", str(trace_path),
         ])
         assert code == 0
         captured = capsys.readouterr()
-        # Prometheus dump on stdout, sink notice on stderr.
-        assert "# TYPE repro_suite_runs_total counter" in captured.out
-        assert "repro_pairs_total 2" in captured.out
+        # The manifest summary on stdout, the sink notice on stderr.
+        assert "2 pairs in" in captured.out
         assert str(trace_path) in captured.err
-        # The trace file is parseable JSONL with one suite.run root.
+        # The trace file is parseable JSONL with one suite.run root,
+        # which carries the sweep's counts.
         records = [
             json.loads(line) for line in trace_path.read_text().splitlines()
         ]
-        assert any(record["name"] == "suite.run" for record in records)
+        (root,) = [r for r in records if r["name"] == "suite.run"]
+        assert root["attrs"]["pairs"] == 2
+        assert root["attrs"]["cache_misses"] == 2
         # And the CLI turned obs back off on the way out.
         assert not obs.enabled()
 
@@ -504,16 +529,6 @@ class TestObsLedgerCli:
         out = capsys.readouterr().out
         assert "DRIFT" in out
         assert "inst_retired.any" in out
-
-    def test_check_metrics_flag_dumps_scores(
-        self, populated_ledger, capsys
-    ):
-        code = main(["obs", "check", "--metrics",
-                     "--ledger", str(populated_ledger)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "repro_drift_findings" in out
-        assert "repro_paper_rel_error" in out
 
     def test_older_ledger_bench_lines_are_skipped(
         self, populated_ledger, capsys

@@ -1,5 +1,7 @@
 """SuiteRunner <-> run-ledger integration: auto-append policy and safety."""
 
+import builtins
+
 import pytest
 
 from repro import obs
@@ -47,13 +49,16 @@ class TestAutoAppend:
         try:
             runner = make_runner(tmp_path)
             runner.run(some_pairs)
-            assert "metrics" not in runner.last_run_record
-            registry = obs.registry()
-            assert registry.counter(
-                "ledger_writes_total"
-            ).labels().value == 1.0
+            records = obs.tracer().finished()
         finally:
             obs.disable()
+        # The written record is the runner's last_run_record; a sweep
+        # whose append succeeds leaves no failure marker.
+        assert "metrics" not in runner.last_run_record
+        assert RunLedger(path=runner.ledger.path).runs() == [
+            runner.last_run_record
+        ]
+        assert "ledger.failure" not in {r["name"] for r in records}
 
 
 class TestPolicy:
@@ -129,9 +134,13 @@ class TestBestEffort:
         try:
             runner = make_runner(tmp_path)
             runner.run(some_pairs)
-            registry = obs.registry()
-            assert registry.counter(
-                "ledger_write_failures_total"
-            ).labels().value == 1.0
+            records = obs.tracer().finished()
         finally:
             obs.disable()
+        assert runner.last_run_record is None
+        (failure,) = [r for r in records if r["name"] == "ledger.failure"]
+        # The OSError subclass the platform raises for a directory.
+        assert issubclass(
+            getattr(builtins, failure["attrs"]["error_type"]), OSError
+        )
+        assert failure["attrs"]["path"] == str(blocked)

@@ -79,7 +79,7 @@ class TestApiFacade:
         "SuiteRunner", "PerfSession", "Characterizer", "SubsetSelector",
         "SimulatedCore", "TraceGenerator", "cpu2017", "cpu2006",
         "InputSize", "get_config", "haswell_e5_2650l_v3", "SystemConfig",
-        "CacheConfig", "PipelineConfig", "Tracer", "MetricsRegistry",
+        "CacheConfig", "PipelineConfig", "Tracer",
         "obs", "WorkloadProfile", "CounterReport", "ResultCache",
         "solve_pipeline_params", "feature_vector", "ReproError",
     ]
@@ -130,8 +130,9 @@ class TestApiFacade:
 
 class TestSweepSettings:
     """A sweep's settings are its config, sample and placement: the
-    engine is the code's choice, and the settings only tests set are
-    gone.  Passing one is a plain TypeError, with nothing turned on."""
+    engine is the code's choice, the settings only tests set are gone,
+    and so is the metrics registry the drift watchdog could feed.
+    Passing one is a plain TypeError, with nothing turned on."""
 
     @pytest.mark.parametrize("target,keyword", [
         ("SuiteRunner", "engine"),
@@ -147,6 +148,8 @@ class TestSweepSettings:
         ("SimulatedCore", "predictor"),
         ("obs.enable", "capacity"),
         ("obs.enable", "metrics"),
+        ("DriftDetector", "registry"),
+        ("check_ledger", "registry"),
     ])
     def test_removed_setting_is_a_type_error(self, target, keyword):
         from repro import api
@@ -158,6 +161,11 @@ class TestSweepSettings:
                 api.haswell_e5_2650l_v3(), **kwargs
             ),
             "obs.enable": api.obs.enable,
+            "DriftDetector": api.DriftDetector,
+            # The keyword is rejected before the ledger is read.
+            "check_ledger": lambda **kwargs: api.check_ledger(
+                api.RunLedger(path="unread.jsonl"), **kwargs
+            ),
         }[target]
         with pytest.raises(TypeError, match=keyword):
             call(**{keyword: None})
