@@ -206,7 +206,7 @@ class SimulatedCore:
         # ---- memory stream -------------------------------------------------
         mem_idx = trace.mem_idx
         mem_is_store = (trace.kind[mem_idx] == KIND_STORE).tolist()
-        mem_addrs = trace.addr[mem_idx].tolist()
+        mem_addrs = trace.mem_addr.tolist()
         mem_pages = trace.new_page[mem_idx].tolist()
         mem_warmup = int(len(mem_addrs) * warmup_fraction)
         # Prime every distinct line once so compulsory misses don't distort
@@ -214,7 +214,7 @@ class SimulatedCore:
         # return_counts keeps np.unique from importing numpy.ma
         # (docs/methodology.md §8).
         if len(mem_addrs):
-            distinct, _ = np.unique(trace.addr[mem_idx], return_counts=True)
+            distinct, _ = np.unique(trace.mem_addr, return_counts=True)
             hierarchy.warm_up(distinct)
         access = hierarchy.access
         on_mem = tracker.on_memory_op
@@ -227,8 +227,8 @@ class SimulatedCore:
             on_mem(page)
 
         # ---- conditional branch stream --------------------------------------
-        sites = trace.site[trace.cond_idx].tolist()
-        outcomes = trace.taken[trace.cond_idx].tolist()
+        sites = trace.cond_site.tolist()
+        outcomes = trace.cond_taken.tolist()
         # Table predictors need a few thousand observations to converge;
         # extend the warmup window for short conditional streams (but never
         # past half the stream so something is always measured).

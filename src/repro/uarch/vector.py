@@ -246,10 +246,9 @@ def analyze_trace(config: SystemConfig, trace: SyntheticTrace):
     region; larger line sets are proved without the memo, which keeps
     its entries small.
     """
-    mem_idx = trace.mem_idx
-    addrs = trace.addr[mem_idx]
-    regions = trace.region[mem_idx]
-    if mem_idx.size:
+    addrs = trace.mem_addr
+    regions = trace.mem_region
+    if addrs.size:
         if int(addrs.min()) < 0:
             return "memory op with a sentinel address", None
         if int(regions.max()) >= _N_REGIONS:
@@ -331,7 +330,7 @@ class _KeyGroups:
             init: state every entry starts in.
 
         Returns:
-            int array (n,) — each entry's state *before* its access, in
+            int8 array (n,) — each entry's state *before* its access, in
             original stream order; equivalent to a sequential replay.
 
         A saturating step is the map ``s -> min(hi, max(lo, s + a))``,
@@ -340,8 +339,11 @@ class _KeyGroups:
         window is kept as the map's images of 0 and _MAX_STATE, so a map
         is constant exactly when ``low == high``.  The whole group-prefix
         problem therefore reduces to a Hillis-Steele scan over three flat
-        integer arrays (shift, low clamp, high clamp): O(n log n) vector
-        arithmetic, bit-exact.
+        ``int8`` arrays (shift, low clamp, high clamp): O(n log n) vector
+        arithmetic, bit-exact.  Shifts are saturated to ±_MAX_STATE,
+        which keeps them in ``int8`` and changes no state: a later
+        window's shift beyond ±_MAX_STATE sends every state in
+        [0, _MAX_STATE] to the same clamp bound.
 
         Three facts cut the work:
 
@@ -349,6 +351,9 @@ class _KeyGroups:
           the steps that move a counter, plus each group's first access.
           Every access then sees the state after the last scanned step
           before it: ``np.repeat`` over the gaps between scanned steps.
+          When every step moves (every always-training table), the scan
+          covers the whole stream and each access sees its predecessor's
+          state, with no compaction and no ``np.repeat``.
         * Each group's first map applies its step to ``init``, which makes
           it constant.  A prefix that reaches back to its group's start is
           therefore constant too, and no composition crosses a group
@@ -358,21 +363,29 @@ class _KeyGroups:
           more, changes.  So every prefix is extended unconditionally, and
           the scan stops once every prefix is constant.
         """
+        # int8 bounds: np.clip looks Python-int bounds up in np.iinfo on
+        # every call.
+        zero, top = np.int8(0), np.int8(_MAX_STATE)
         sorted_steps = steps[self.order]
-        scanned = np.flatnonzero((sorted_steps != 0) | self.new_group)
-        shift = sorted_steps[scanned].astype(np.int32)
-        low = np.clip(shift, 0, _MAX_STATE)
-        high = np.clip(shift + _MAX_STATE, 0, _MAX_STATE)
-        first = self.new_group[scanned]
-        low[first] = high[first] = np.clip(init + shift[first], 0, _MAX_STATE)
+        dense = bool(sorted_steps.all())
+        if dense:
+            shift = sorted_steps.astype(np.int8, copy=False)
+            first = self.new_group
+        else:
+            scanned = np.flatnonzero((sorted_steps != 0) | self.new_group)
+            shift = sorted_steps[scanned].astype(np.int8, copy=False)
+            first = self.new_group[scanned]
+        low = np.clip(shift, zero, top)
+        high = np.clip(shift + top, zero, top)
+        low[first] = high[first] = np.clip(init + shift[first], zero, top)
 
         step = 1
         # Prefixes ending before `step` already reach position 0.
-        while step < scanned.size and np.any(low[step:] != high[step:]):
+        while step < shift.size and (low[step:] != high[step:]).any():
             # Compose prefix[i] (later window, g) after prefix[i-step]
             # (earlier window, f): clamp_g(clamp_f(s + a_f) + a_g).
             shift_g, low_g, high_g = shift[step:], low[step:], high[step:]
-            shift_c = shift[:-step] + shift_g
+            shift_c = np.clip(shift[:-step] + shift_g, -top, top)
             low_c = np.minimum(
                 high_g, np.maximum(low_g, low[:-step] + shift_g)
             )
@@ -386,13 +399,16 @@ class _KeyGroups:
 
         # Every prefix is now constant: `low` is the state after each
         # scanned step, and holds until the next one.
-        state_before = np.empty(self.n, dtype=np.int32)
-        state_before[1:] = np.repeat(
-            low, np.diff(scanned, append=self.n - 1)
-        )
+        state_before = np.empty(self.n, dtype=np.int8)
+        if dense:
+            state_before[1:] = low[:-1]
+        else:
+            state_before[1:] = np.repeat(
+                low, np.diff(scanned, append=self.n - 1)
+            )
         state_before[self.new_group] = init
 
-        out = np.empty(self.n, dtype=np.int32)
+        out = np.empty(self.n, dtype=np.int8)
         out[self.order] = state_before
         return out
 
@@ -405,8 +421,9 @@ def _grouped_counter_states(
 
 
 def _taken_steps(taken: np.ndarray) -> np.ndarray:
-    """Saturating-counter updates of an always-training table."""
-    return np.where(taken, np.int32(1), np.int32(-1))
+    """Saturating-counter updates of an always-training table: +1 where
+    taken, -1 where not, as ``int8``."""
+    return taken.view(np.int8) * 2 - 1
 
 
 def _counter_predictions(keys: np.ndarray, taken: np.ndarray) -> np.ndarray:
@@ -504,7 +521,7 @@ def _conditional_predictions(
         gshare_correct = gshare == taken
         # Chooser: 2-bit counter per site, trained only on disagreement:
         # +1 when only gshare was right, -1 when only bimodal was.
-        steps = gshare_correct.astype(np.int32) - bimodal_correct
+        steps = gshare_correct.view(np.int8) - bimodal_correct.view(np.int8)
         chooser = site_groups.counter_states(steps)
         return np.where(chooser >= 2, gshare, bimodal)
     raise SimulationError(
@@ -541,15 +558,18 @@ def execute_vector(
     mem_idx = trace.mem_idx
     n_mem = int(mem_idx.size)
     mem_warmup = int(n_mem * warmup_fraction)
-    window_levels = hit_levels[
-        trace.region[mem_idx[mem_warmup:]].astype(np.int64)
-    ]
+    window_regions = trace.mem_region[mem_warmup:]
     window_stores = trace.kind[mem_idx[mem_warmup:]] == KIND_STORE
     codes = np.bincount(
-        (window_levels - 1) * 2 + window_stores, minlength=2 * _N_REGIONS
-    )
-    loads = [int(value) for value in codes[0::2]]
-    stores = [int(value) for value in codes[1::2]]
+        window_regions * 2 + window_stores, minlength=2 * _N_REGIONS
+    ).tolist()
+    # Per served level (L1, L2, L3, memory): the window's loads and
+    # stores of every region that level serves.
+    loads = [0] * _N_REGIONS
+    stores = [0] * _N_REGIONS
+    for region, level in enumerate(hit_levels.tolist()):
+        loads[level - 1] += codes[2 * region]
+        stores[level - 1] += codes[2 * region + 1]
     hierarchy = HierarchyStats(
         l1=CacheStats(
             load_hits=loads[0],
@@ -583,10 +603,8 @@ def execute_vector(
 
     # ---- conditional branches: grouped automaton evaluation -------------
     branch_started = time.perf_counter() if obs.enabled() else 0.0
-    # Integer takes: a boolean mask over the whole trace is several times
-    # slower.
-    sites = trace.site[trace.cond_idx].astype(np.int64)
-    taken = trace.taken[trace.cond_idx]
+    sites = trace.cond_site
+    taken = trace.cond_taken
     n_cond = int(sites.shape[0])
     cond_warmup = min(
         n_cond // 2, max(int(n_cond * warmup_fraction), 2048)

@@ -71,13 +71,16 @@ class SyntheticTrace:
     ``btype == NO_BRANCH`` and ``site == -1``.
 
     The op indices and counts below are derived from ``kind`` and
-    ``btype`` once per instance and shared, read-only, by every consumer.
-    Building a trace marks those two arrays read-only, so an edit raises
-    instead of leaving the derived values stale.  The values live in the
-    instance ``__dict__``, not in fields: ``dataclasses.replace``
-    (and with it :func:`~repro.phases.generator.slice_trace`) builds a
-    trace that derives its own.  :meth:`TraceGenerator.generate` hands
-    over the indices it computed on the way.
+    ``btype`` once per instance and shared, read-only, by every consumer,
+    and so are the memory-op streams (``addr`` and ``region`` at
+    ``mem_idx``) and the conditional-branch streams (``site`` and
+    ``taken`` at ``cond_idx``) that both engines read.  Building a trace
+    marks every array those values read read-only, so an edit raises
+    instead of leaving a derived value stale.  The values live in the
+    instance ``__dict__``, not in fields: ``dataclasses.replace`` (and
+    with it :func:`~repro.phases.generator.slice_trace`) builds a trace
+    that derives its own.  :meth:`TraceGenerator.generate` hands over
+    every one of these values, computed on the way.
     """
 
     profile: WorkloadProfile
@@ -94,8 +97,9 @@ class SyntheticTrace:
     seed: int
 
     def __post_init__(self) -> None:
-        _read_only(self.kind)
-        _read_only(self.btype)
+        for array in (self.kind, self.btype, self.addr, self.region,
+                      self.site, self.taken):
+            _read_only(array)
 
     @property
     def n_ops(self) -> int:
@@ -119,6 +123,26 @@ class SyntheticTrace:
         """Positions of the conditional branches, ascending."""
         branches = self.branch_idx
         return _read_only(branches[self.btype[branches] == BR_CONDITIONAL])
+
+    @cached_property
+    def mem_addr(self) -> np.ndarray:
+        """Byte addresses of the memory ops, in stream order."""
+        return _read_only(self.addr[self.mem_idx])
+
+    @cached_property
+    def mem_region(self) -> np.ndarray:
+        """Region ids of the memory ops, in stream order."""
+        return _read_only(self.region[self.mem_idx])
+
+    @cached_property
+    def cond_site(self) -> np.ndarray:
+        """Site ids of the conditional branches, in stream order."""
+        return _read_only(self.site[self.cond_idx])
+
+    @cached_property
+    def cond_taken(self) -> np.ndarray:
+        """Outcomes of the conditional branches, in stream order."""
+        return _read_only(self.taken[self.cond_idx])
 
     @cached_property
     def kind_counts(self) -> Tuple[int, int, int, int]:
@@ -249,6 +273,24 @@ class RegionLayout:
             np.asarray(dram, dtype=np.int64),
         )
 
+    def place(self, mem_region: np.ndarray) -> np.ndarray:
+        """Byte addresses for a memory-op region stream.
+
+        One cyclic cursor per region runs over the whole stream, so
+        interleaved loads and stores share each region's sweep: the
+        ``k``-th access to region ``r`` gets ``lines[r][k % len(lines[r])]``.
+        Each region is filled with one ``np.tile`` of its lines (docs/
+        methodology.md §2).  An id outside the layout gets ``-1``, the
+        trace's no-address sentinel.
+        """
+        addr = np.full(mem_region.shape[0], -1, dtype=np.int64)
+        for region_id, lines in enumerate(self.lines):
+            hits = np.flatnonzero(mem_region == region_id)
+            if hits.size:
+                sweeps = -(-hits.size // lines.size)
+                addr[hits] = np.tile(lines, sweeps)[:hits.size]
+        return addr
+
     def compulsory_lines(self) -> int:
         """Total distinct lines (bounds the cold-miss transient)."""
         return int(sum(len(lines) for lines in self.lines))
@@ -296,31 +338,28 @@ class TraceGenerator:
         regions = solve_region_fractions(
             mem.target_l1_miss_rate, mem.target_l2_miss_rate, mem.target_l3_miss_rate
         )
-        addr = np.full(n_ops, -1, dtype=np.int64)
-        region = np.full(n_ops, NO_REGION, dtype=np.uint8)
-        mem_mask = (kind == KIND_LOAD) | (kind == KIND_STORE)
-        mem_idx = np.flatnonzero(mem_mask)
-        if mem_idx.size:
-            hot, warm, cool, dram = regions.as_tuple()
-            # Stratify loads and stores independently: the paper's miss
-            # rates are *load* miss rates, so the load sub-stream must carry
-            # the exact region proportions rather than a random share of a
-            # combined assignment.
-            for op_kind in (KIND_LOAD, KIND_STORE):
-                kind_idx = np.flatnonzero(kind == op_kind)
-                if not kind_idx.size:
-                    continue
-                choice = _stratified_assign(
-                    kind_idx.size, (warm, cool, dram), (1, 2, 3), 0, rng
+        mem_idx = np.flatnonzero((kind == KIND_LOAD) | (kind == KIND_STORE))
+        # Regions are dealt in memory-op space: mem_region[i] belongs to
+        # the op at mem_idx[i].  Loads and stores are stratified
+        # independently: the paper's miss rates are *load* miss rates, so
+        # the load sub-stream must carry the exact region proportions
+        # rather than a random share of a combined assignment.
+        is_store = kind[mem_idx] == KIND_STORE
+        # Integer positions: a boolean-mask assignment is about twice as
+        # slow.
+        loads, stores = np.flatnonzero(~is_store), np.flatnonzero(is_store)
+        mem_region = np.zeros(mem_idx.size, dtype=np.uint8)
+        hot, warm, cool, dram = regions.as_tuple()
+        for stream in (loads, stores):
+            if stream.size:
+                mem_region[stream] = _stratified_assign(
+                    stream.size, (warm, cool, dram), (1, 2, 3), 0, rng
                 )
-                region[kind_idx] = choice
-            # One cyclic cursor per region across the whole merged stream,
-            # so interleaved loads and stores share each region's sweep.
-            mem_region = region[mem_idx]
-            for region_id, lines in enumerate(self.layout.lines):
-                hits = np.flatnonzero(mem_region == region_id)
-                if hits.size:
-                    addr[mem_idx[hits]] = np.resize(lines, hits.size)
+        mem_addr = self.layout.place(mem_region)
+        addr = np.full(n_ops, -1, dtype=np.int64)
+        addr[mem_idx] = mem_addr
+        region = np.full(n_ops, NO_REGION, dtype=np.uint8)
+        region[mem_idx] = mem_region
 
         # --- footprint first-touch events ------------------------------------
         # Each memory op first-touches a page with the probability implied
@@ -348,16 +387,23 @@ class TraceGenerator:
         taken = np.zeros(n_ops, dtype=bool)
         br_idx = np.flatnonzero(kind == KIND_BRANCH)
         cond = br_idx
+        cond_site = np.empty(0, dtype=np.int32)
+        cond_taken = np.empty(0, dtype=bool)
+        # at_least[k]: the branches of subtype k or later.
+        at_least = [int(br_idx.size)] + [0] * _N_SUBTYPES
         if br_idx.size:
             subtype_cum = np.cumsum(np.asarray(mix.branch_mix.as_tuple()))
             draws = rng.random(br_idx.size) * subtype_cum[-1]
             # np.searchsorted(subtype_cum, draws, side="right") capped at
             # the last subtype: the count of the first four edges at or
             # below each draw.  Four comparison passes beat one binary
-            # search per draw.
+            # search per draw.  The edges never decrease, so a draw is
+            # past edge k-1 exactly when its subtype is k or later.
             subtype = np.zeros(br_idx.size, dtype=np.uint8)
-            for edge in subtype_cum[:BR_INDIRECT_RETURN]:
-                subtype += draws >= edge
+            for later, edge in enumerate(subtype_cum[:BR_INDIRECT_RETURN], 1):
+                past = draws >= edge
+                subtype += past
+                at_least[later] = int(np.count_nonzero(past))
             btype[br_idx] = subtype
             # Unconditional branches are always taken.
             taken[br_idx] = True
@@ -365,13 +411,13 @@ class TraceGenerator:
             cond = br_idx[subtype == BR_CONDITIONAL]
             if cond.size:
                 hard_mask = rng.random(cond.size) < knobs.hard_fraction
-                sites = np.where(
+                cond_site = np.where(
                     hard_mask,
                     N_EASY_SITES + rng.integers(0, N_HARD_SITES, cond.size),
                     rng.integers(0, N_EASY_SITES, cond.size),
                 ).astype(np.int32)
-                site[cond] = sites
-                base_direction = (sites & 1).astype(bool)
+                site[cond] = cond_site
+                base_direction = (cond_site & 1).astype(bool)
                 # One batched draw for both outcome streams.  PCG64 fills
                 # C-order, so row 0 is exactly the flip draw and row 1 the
                 # hard-outcome draw of the formerly separate calls —
@@ -379,7 +425,8 @@ class TraceGenerator:
                 outcome_draws = rng.random((2, cond.size))
                 easy_outcome = base_direction ^ (outcome_draws[0] < knobs.easy_flip)
                 hard_outcome = outcome_draws[1] < 0.5
-                taken[cond] = np.where(hard_mask, hard_outcome, easy_outcome)
+                cond_taken = np.where(hard_mask, hard_outcome, easy_outcome)
+                taken[cond] = cond_taken
 
         trace = SyntheticTrace(
             profile=profile,
@@ -395,11 +442,21 @@ class TraceGenerator:
             knobs=knobs,
             seed=seed,
         )
-        # Hand over the indices computed on the way, under the names (and
-        # with the dtypes) of their definitions.
+        # Hand over the indices, streams and counts computed on the way,
+        # under the names (and with the types) of their definitions.
+        n_branches = int(br_idx.size)
         vars(trace).update(
+            kind_counts=(n_ops - int(mem_idx.size) - n_branches,
+                         int(loads.size), int(stores.size), n_branches),
+            _subtype_counts=tuple(
+                count - later for count, later in zip(at_least, at_least[1:])
+            ),
             mem_idx=_read_only(mem_idx),
             branch_idx=_read_only(br_idx),
             cond_idx=_read_only(cond),
+            mem_addr=_read_only(mem_addr),
+            mem_region=_read_only(mem_region),
+            cond_site=_read_only(cond_site),
+            cond_taken=_read_only(cond_taken),
         )
         return trace

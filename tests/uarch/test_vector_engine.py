@@ -469,8 +469,22 @@ def counter_streams(draw):
     return keys, steps, draw(st.integers(0, 3))
 
 
+#: 400 alternating steps: no window of them ever becomes constant.
+ALTERNATING = [1, -1] * 200
+
+
 @settings(max_examples=300, deadline=None)
 @given(stream=counter_streams())
+# One key, alternating: the scan runs every one of its log2(n) rounds.
+@example(stream=([9] * 400, ALTERNATING, 2))
+# One key, a run of +1 and then alternation: the constant prefixes'
+# shifts pass ±3 and saturate while the alternating windows keep the
+# scan going.
+@example(stream=([9] * 400, [1] * 200 + ALTERNATING[:200], 0))
+# No zero step: the dense path, with no compaction.
+@example(stream=([3, 70_000, 3, 300] * 50, [1] * 200, 1))
+# Every access starts its own group.
+@example(stream=(list(range(0, 80_000, 2_000)), ALTERNATING[:40], 3))
 def test_counter_scan_matches_a_sequential_replay(stream):
     keys, steps, init = stream
     groups = vector._KeyGroups(np.asarray(keys, dtype=np.int64))

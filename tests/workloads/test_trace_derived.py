@@ -1,14 +1,17 @@
-"""A trace's shared op indices and counts against their definitions.
+"""A trace's shared op indices, streams and counts against their
+definitions.
 
 :class:`SyntheticTrace` derives its memory-op, branch and conditional-
-branch indices, per-kind counts and branch-subtype counts once per
-instance, and :meth:`TraceGenerator.generate` hands over the indices it
-computed while generating.  Every consumer (both engines, the core's
-composition, the session's span attributes) reads them instead of
-rebuilding masks, so each must equal its mask definition on every kind
-of trace: generated, phase-concatenated, sliced and ``replace``-d.  A
-trace built from another must derive its own values, never inherit its
-source's.
+branch indices, its memory-op streams (``addr`` and ``region`` at the
+memory ops), its conditional-branch streams (``site`` and ``taken`` at
+the conditionals), per-kind counts and branch-subtype counts once per
+instance, and :meth:`TraceGenerator.generate` hands over every one of
+them, computed while generating.  Every consumer (both engines, the
+core's composition, the session's span attributes) reads them instead
+of rebuilding masks and gathers, so each must equal its definition on
+every kind of trace: generated, phase-concatenated, sliced and
+``replace``-d.  A trace built from another must derive its own values,
+never inherit its source's.
 """
 
 import dataclasses
@@ -41,10 +44,13 @@ KINDS = (KIND_ALU, KIND_LOAD, KIND_STORE, KIND_BRANCH)
 SUBTYPES = (BR_CONDITIONAL, BR_DIRECT_JUMP, BR_DIRECT_CALL,
             BR_INDIRECT_JUMP, BR_INDIRECT_RETURN)
 #: The derived values a trace keeps in its instance ``__dict__``.
-SHARED = ("mem_idx", "branch_idx", "cond_idx", "kind_counts",
-          "_subtype_counts")
-#: The ones that are arrays, which the generator hands over.
+SHARED = ("mem_idx", "branch_idx", "cond_idx", "mem_addr", "mem_region",
+          "cond_site", "cond_taken", "kind_counts", "_subtype_counts")
+#: The op indices, which are ``intp`` arrays.
 INDICES = ("mem_idx", "branch_idx", "cond_idx")
+#: Each stream and the trace array it gathers (and takes its dtype from).
+STREAMS = {"mem_addr": "addr", "mem_region": "region",
+           "cond_site": "site", "cond_taken": "taken"}
 
 
 def definitions(trace) -> dict:
@@ -52,10 +58,16 @@ def definitions(trace) -> dict:
     kind, btype = trace.kind, trace.btype
     branch = kind == KIND_BRANCH
     branch_types = btype[branch]
+    memory = (kind == KIND_LOAD) | (kind == KIND_STORE)
+    conditional = branch & (btype == BR_CONDITIONAL)
     return {
-        "mem_idx": np.flatnonzero((kind == KIND_LOAD) | (kind == KIND_STORE)),
+        "mem_idx": np.flatnonzero(memory),
         "branch_idx": np.flatnonzero(branch),
-        "cond_idx": np.flatnonzero(branch & (btype == BR_CONDITIONAL)),
+        "cond_idx": np.flatnonzero(conditional),
+        "mem_addr": trace.addr[memory],
+        "mem_region": trace.region[memory],
+        "cond_site": trace.site[conditional],
+        "cond_taken": trace.taken[conditional],
         "kind_counts": tuple(
             int(np.count_nonzero(kind == value)) for value in KINDS
         ),
@@ -72,6 +84,7 @@ def derived(trace) -> dict:
         "mem_idx": trace.mem_idx,
         "branch_idx": trace.branch_idx,
         "cond_idx": trace.cond_idx,
+        **{name: getattr(trace, name) for name in STREAMS},
         "kind_counts": trace.kind_counts,
         "branch_subtype_counts": trace.branch_subtype_counts(),
     }
@@ -81,6 +94,9 @@ def assert_matches_definitions(trace) -> None:
     expected, served = definitions(trace), derived(trace)
     for name in INDICES:
         assert served[name].dtype == np.intp, name
+    for name, source in STREAMS.items():
+        assert served[name].dtype == getattr(trace, source).dtype, name
+    for name in INDICES + tuple(STREAMS):
         assert np.array_equal(served[name], expected[name]), name
         assert not served[name].flags.writeable, name
     for name in ("kind_counts", "branch_subtype_counts"):
@@ -98,7 +114,7 @@ def assert_differs_from(copy, source) -> None:
     """Every derived value of ``copy`` differs from ``source``'s."""
     ours, theirs = derived(copy), derived(source)
     for name in ours:
-        if name in INDICES:
+        if name in INDICES or name in STREAMS:
             assert not np.array_equal(ours[name], theirs[name]), name
         else:
             assert ours[name] != theirs[name], name
@@ -124,17 +140,19 @@ class TestGeneratedTraces:
     ):
         profile = suite17.get(name).profile(InputSize(size))
         trace = GENERATOR.generate(profile, n_ops=n_ops)
-        # The generator hands its indices over: no consumer derives one.
-        assert set(INDICES) <= set(vars(trace))
+        # The generator hands every derived value over: no consumer
+        # derives one.
+        assert set(SHARED) <= set(vars(trace))
         assert_matches_definitions(trace)
 
     @pytest.mark.parametrize("overrides", [
         {"branches": 0.0}, {"stores": 0.0},
         {"loads": 0.001, "stores": 0.0, "branches": 0.0},
-    ], ids=["no-branches", "no-stores", "alu-only"])
+        {"loads": 0.0, "stores": 0.0},
+    ], ids=["no-branches", "no-stores", "alu-only", "no-memory"])
     def test_empty_streams_match_definitions(self, overrides):
         trace = GENERATOR.generate(edge_profile(**overrides), n_ops=5000)
-        assert set(INDICES) <= set(vars(trace))
+        assert set(SHARED) <= set(vars(trace))
         assert_matches_definitions(trace)
 
 
@@ -175,23 +193,36 @@ class TestDerivedTraces:
 
 
 class TestReadOnlyArrays:
-    """The values are derived from ``kind`` and ``btype``, so a built
-    trace refuses an in-place edit of either instead of serving values
-    that no longer match them."""
+    """The values are derived from ``kind``, ``btype``, ``addr``,
+    ``region``, ``site`` and ``taken``, so a built trace refuses an
+    in-place edit of any of them instead of serving values that no longer
+    match them."""
 
-    @pytest.mark.parametrize("build", [
-        "generated", "phased", "slice", "replace",
-    ])
-    def test_kind_and_btype_cannot_be_edited(self, source, phased, build):
-        trace = {
+    BUILDS = ("generated", "phased", "slice", "replace")
+
+    @staticmethod
+    def build(kind, source, phased, names):
+        return {
             "generated": lambda: source,
             "phased": lambda: phased,
             "slice": lambda: slice_trace(source, 1000, 4000),
-            "replace": lambda: dataclasses.replace(
-                source, kind=source.kind.copy(), btype=source.btype.copy()
-            ),
-        }[build]()
+            "replace": lambda: dataclasses.replace(source, **{
+                name: getattr(source, name).copy() for name in names
+            }),
+        }[kind]()
+
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_kind_and_btype_cannot_be_edited(self, source, phased, build):
+        trace = self.build(build, source, phased, ("kind", "btype"))
         for name in ("kind", "btype"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(trace, name)[0] = KIND_ALU
+        assert_matches_definitions(trace)
+
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_stream_sources_cannot_be_edited(self, source, phased, build):
+        trace = self.build(build, source, phased, tuple(STREAMS.values()))
+        for name in STREAMS.values():
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(trace, name)[0] = 0
         assert_matches_definitions(trace)
