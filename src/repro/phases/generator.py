@@ -9,7 +9,7 @@ import numpy as np
 
 from ..config import SystemConfig
 from ..errors import SimulationError
-from ..workloads.generator import SyntheticTrace, TraceGenerator
+from ..workloads.generator import STREAM_DTYPES, SyntheticTrace, TraceGenerator
 from .workload import PhasedWorkload
 
 
@@ -48,20 +48,16 @@ class PhasedTraceGenerator:
             )
             pieces.append(segment)
             labels.append(np.full(ops, phase, dtype=np.int64))
-        first = pieces[0]
-        merged = SyntheticTrace(
-            profile=first.profile,
-            kind=np.concatenate([p.kind for p in pieces]),
-            addr=np.concatenate([p.addr for p in pieces]),
-            region=np.concatenate([p.region for p in pieces]),
-            btype=np.concatenate([p.btype for p in pieces]),
-            site=np.concatenate([p.site for p in pieces]),
-            taken=np.concatenate([p.taken for p in pieces]),
-            new_page=np.concatenate([p.new_page for p in pieces]),
-            pages_per_touch=first.pages_per_touch,
-            regions=first.regions,
-            knobs=first.knobs,
-            seed=first.seed,
+        # Each stream is the segments' streams end to end, and so is each
+        # region's address run.
+        merged = dc_replace(
+            pieces[0],
+            **{name: np.concatenate([getattr(p, name) for p in pieces])
+               for name in STREAM_DTYPES},
+            region_addrs=tuple(
+                np.concatenate(runs)
+                for runs in zip(*(p.region_addrs for p in pieces))
+            ),
         )
         return PhasedTrace(
             trace=merged,
@@ -71,19 +67,30 @@ class PhasedTraceGenerator:
 
 
 def slice_trace(trace: SyntheticTrace, start: int, stop: int) -> SyntheticTrace:
-    """A contiguous sub-trace (used to simulate one interval in isolation)."""
+    """A contiguous sub-trace (used to simulate one interval in isolation).
+
+    Each stream keeps its ops in ``[start, stop)``, and each region's
+    address run the addresses of its accesses among them.
+    """
     if not 0 <= start < stop <= trace.n_ops:
         raise SimulationError(
             "invalid slice [%d, %d) of a %d-op trace"
             % (start, stop, trace.n_ops)
         )
+    bounds = (start, stop)
+    mem_lo, mem_hi = np.searchsorted(trace.mem_idx, bounds)
+    br_lo, br_hi = np.searchsorted(trace.branch_idx, bounds)
+    cond_lo, cond_hi = np.searchsorted(trace.cond_idx, bounds)
+    regions = trace.mem_region[mem_lo:mem_hi]
+    addrs = trace.mem_addr[mem_lo:mem_hi]
     return dc_replace(
         trace,
         kind=trace.kind[start:stop],
-        addr=trace.addr[start:stop],
-        region=trace.region[start:stop],
-        btype=trace.btype[start:stop],
-        site=trace.site[start:stop],
-        taken=trace.taken[start:stop],
-        new_page=trace.new_page[start:stop],
+        mem_region=regions,
+        mem_new_page=trace.mem_new_page[mem_lo:mem_hi],
+        branch_subtype=trace.branch_subtype[br_lo:br_hi],
+        cond_site=trace.cond_site[cond_lo:cond_hi],
+        cond_taken=trace.cond_taken[cond_lo:cond_hi],
+        region_addrs=tuple(addrs[regions == region]
+                           for region in range(len(trace.region_addrs))),
     )

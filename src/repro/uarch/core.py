@@ -31,7 +31,7 @@ from ..workloads.calibrate import (
     PipelineParams,
     solve_pipeline_params,
 )
-from ..workloads.generator import BR_INDIRECT_JUMP, KIND_STORE, SyntheticTrace
+from ..workloads.generator import BR_INDIRECT_JUMP, SyntheticTrace
 from . import vector
 from .branch import PredictorStats, make_predictor
 from .hierarchy import HierarchyStats, MemoryHierarchy
@@ -204,10 +204,9 @@ class SimulatedCore:
         tracker = FootprintTracker(trace.profile, trace.pages_per_touch)
 
         # ---- memory stream -------------------------------------------------
-        mem_idx = trace.mem_idx
-        mem_is_store = (trace.kind[mem_idx] == KIND_STORE).tolist()
+        mem_is_store = trace.mem_is_store.tolist()
         mem_addrs = trace.mem_addr.tolist()
-        mem_pages = trace.new_page[mem_idx].tolist()
+        mem_pages = trace.mem_new_page.tolist()
         mem_warmup = int(len(mem_addrs) * warmup_fraction)
         # Prime every distinct line once so compulsory misses don't distort
         # the measured rates of rarely-visited regions, then clear counters.

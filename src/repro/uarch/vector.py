@@ -15,10 +15,11 @@ generated traces:
    tree-PLRU) and the core's warm-up priming, every post-priming access
    of a *fitting* region hits and every access of a *thrashing* region
    misses (under tree-PLRU, only where a replay of its one set shows no
-   hit) — so per-level counters reduce to one ``bincount`` over
-   ``(region, is_store)`` codes.  :func:`unsupported_reason` verifies the
-   preconditions: the policy family and write-allocate per config, the
-   cyclic sweep order per trace (one O(n) pass, no sort), and the
+   hit) — so per-level counters reduce to the trace's per-(region,
+   is_store) counts, less one ``bincount`` over the warmup prefix.
+   :func:`unsupported_reason` verifies the preconditions: the policy
+   family and write-allocate per config, the cyclic sweep order per trace
+   (one O(n) pass over each region's address run, no sort), and the
    set-exclusive geometry and fit/thrash occupancy once per config and
    region line sets.  Anything violating them falls back to the scalar
    engine.
@@ -50,7 +51,7 @@ import numpy as np
 from .. import obs
 from ..config import SystemConfig
 from ..errors import SimulationError
-from ..workloads.generator import KIND_STORE, SyntheticTrace
+from ..workloads.generator import N_REGIONS, SyntheticTrace
 from .branch import PredictorStats, make_predictor
 from .cache import EMPTY, CacheStats
 from .hierarchy import HierarchyStats
@@ -62,9 +63,6 @@ from .replacement import make_policy
 #: thrashing ones).  "random" picks victims stochastically, so residency
 #: is history-dependent and only the scalar engine models it.
 SUPPORTED_REPLACEMENT = frozenset({"lru", "fifo", "plru"})
-
-#: Region ids in trace order of meaning: hot, warm, cool, dram.
-_N_REGIONS = 4
 
 #: Saturating-counter ceiling (2-bit counters count 0..3).
 _MAX_STATE = 3
@@ -171,7 +169,7 @@ def _region_levels(config: SystemConfig, region_lines):
     """Prove each region's hit level from its line set (see
     :func:`analyze_trace`); the same ``(reason, hit_levels)`` contract,
     with ``hit_levels`` read-only."""
-    hit_levels = np.full(_N_REGIONS, len(config.cache_levels()) + 1,
+    hit_levels = np.full(N_REGIONS, len(config.cache_levels()) + 1,
                          dtype=np.int64)
     for level_index, level in enumerate(config.cache_levels()):
         offset_bits = level.line_size.bit_length() - 1
@@ -190,7 +188,7 @@ def _region_levels(config: SystemConfig, region_lines):
         )
         if np.any(combined[1:] == combined[:-1]):
             return "%s: two regions share a cache set" % level.name, None
-        for region in range(_N_REGIONS):
+        for region in range(N_REGIONS):
             if hit_levels[region] <= level_index:
                 continue  # already resolved to an inner level
             distinct, occupancy = per_region_sets[region]
@@ -238,29 +236,38 @@ def analyze_trace(config: SystemConfig, trace: SyntheticTrace):
     any cross-region set sharing, which priming could turn into
     evictions) is unsupported.
 
-    The sweep order is checked per trace, since a trace built or cut
-    outside :meth:`TraceGenerator.generate` (a phase trace, a slice) need
-    not sweep its regions cyclically.  The fit/thrash proof depends only
+    The sweep order is checked per trace, on each region's address run
+    (``trace.region_addrs``), since a trace built or cut outside
+    :meth:`TraceGenerator.generate` (a phase trace, a slice) need not
+    sweep its regions cyclically.  The fit/thrash proof depends only
     on the config and the region line sets, so it is memoized on them.
     Generator layouts hold at most ``2 * max(ways) + 2`` lines per
     region; larger line sets are proved without the memo, which keeps
     its entries small.
     """
-    addrs = trace.mem_addr
+    runs = trace.region_addrs
     regions = trace.mem_region
-    if addrs.size:
-        if int(addrs.min()) < 0:
+    if regions.size:
+        top_region = int(regions.max())
+        # A memory op whose region has no run has no address.
+        if top_region >= len(runs) or any(
+            int(run.min()) < 0 for run in runs if run.size
+        ):
             return "memory op with a sentinel address", None
-        if int(regions.max()) >= _N_REGIONS:
+        if top_region >= N_REGIONS:
             return "memory op with an unknown region id", None
 
     region_lines = []
-    for region in range(_N_REGIONS):
-        lines = _sweep_lines(addrs[regions == region])
+    for region, run in enumerate(runs[:N_REGIONS]):
+        lines = _sweep_lines(run)
         if lines is None:
             return ("region %d is not a cyclic sweep of its line set"
                     % region), None
         region_lines.append(lines)
+    # A region with no run has no accesses (checked above).
+    region_lines += [np.empty(0, dtype=np.int64)] * (
+        N_REGIONS - len(region_lines)
+    )
 
     memo_bound = 2 * max(
         level.associativity for level in config.cache_levels()
@@ -553,20 +560,23 @@ def execute_vector(
         if reason is not None:
             raise SimulationError("vector engine unsupported: " + reason)
 
-    # ---- memory stream: one bincount over (hit level, is_store) codes ---
+    # ---- memory stream: (region, is_store) counts per served level ---
     mem_started = time.perf_counter() if obs.enabled() else 0.0
-    mem_idx = trace.mem_idx
-    n_mem = int(mem_idx.size)
+    regions = trace.mem_region
+    n_mem = int(regions.shape[0])
     mem_warmup = int(n_mem * warmup_fraction)
-    window_regions = trace.mem_region[mem_warmup:]
-    window_stores = trace.kind[mem_idx[mem_warmup:]] == KIND_STORE
-    codes = np.bincount(
-        window_regions * 2 + window_stores, minlength=2 * _N_REGIONS
+    # The window's counts are the whole stream's less its warmup prefix's,
+    # so only the prefix is bincounted.
+    warmup_codes = np.bincount(
+        regions[:mem_warmup] * 2 + trace.mem_is_store[:mem_warmup],
+        minlength=2 * N_REGIONS,
     ).tolist()
+    codes = [total - warmup for total, warmup
+             in zip(trace.region_store_counts, warmup_codes)]
     # Per served level (L1, L2, L3, memory): the window's loads and
     # stores of every region that level serves.
-    loads = [0] * _N_REGIONS
-    stores = [0] * _N_REGIONS
+    loads = [0] * N_REGIONS
+    stores = [0] * N_REGIONS
     for region, level in enumerate(hit_levels.tolist()):
         loads[level - 1] += codes[2 * region]
         stores[level - 1] += codes[2 * region + 1]
@@ -594,9 +604,7 @@ def execute_vector(
 
     # ---- footprint: pure reductions over the full memory stream ---------
     tracker = FootprintTracker(trace.profile, trace.pages_per_touch)
-    tracker.observe_counts(
-        n_mem, int(np.count_nonzero(trace.new_page[mem_idx]))
-    )
+    tracker.observe_counts(n_mem, int(np.count_nonzero(trace.mem_new_page)))
     if obs.enabled():
         obs.record("engine.vector.memory",
                    wall_s=time.perf_counter() - mem_started, ops=n_mem)

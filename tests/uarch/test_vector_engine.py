@@ -166,6 +166,49 @@ class TestFallback:
             core.run(trace, engine="auto"),
         )
 
+    @staticmethod
+    def with_runs(trace, edit):
+        """``trace`` rebuilt with ``edit`` applied to a writable copy of
+        its address runs (and of its region stream)."""
+        runs = [run.copy() for run in trace.region_addrs]
+        regions = trace.mem_region.copy()
+        edit(runs, regions)
+        return dataclasses.replace(
+            trace, mem_region=regions, region_addrs=tuple(runs)
+        )
+
+    def assert_verdict(self, config, trace, reason):
+        assert vector.analyze_trace(config, trace) == (reason, None)
+        assert SimulatedCore(config).resolve_engine(trace) == "scalar"
+
+    def test_sentinel_address_in_a_run(self, haswell, mcf_trace):
+        def edit(runs, regions):
+            runs[2][0] = -1
+        self.assert_verdict(haswell, self.with_runs(mcf_trace, edit),
+                            "memory op with a sentinel address")
+
+    def test_region_without_a_run_has_no_addresses(self, haswell, mcf_trace):
+        def edit(runs, regions):
+            del runs[3]
+        self.assert_verdict(haswell, self.with_runs(mcf_trace, edit),
+                            "memory op with a sentinel address")
+
+    def test_unknown_region_id(self, haswell, mcf_trace):
+        def edit(runs, regions):
+            # The first dram access moves to a fifth region, address and all.
+            first = int(np.flatnonzero(regions == 3)[0])
+            regions[first] = 4
+            runs.append(runs[3][:1])
+            runs[3] = runs[3][1:]
+        self.assert_verdict(haswell, self.with_runs(mcf_trace, edit),
+                            "memory op with an unknown region id")
+
+    def test_run_out_of_cyclic_order(self, haswell, mcf_trace):
+        def edit(runs, regions):
+            runs[1] = runs[1][::-1].copy()
+        self.assert_verdict(haswell, self.with_runs(mcf_trace, edit),
+                            "region 1 is not a cyclic sweep of its line set")
+
     def test_unsupported_reason_is_cheap_and_stable(self, haswell, mcf_trace):
         assert vector.unsupported_reason(haswell, mcf_trace) is None
         config = policy_config("random")

@@ -100,15 +100,17 @@ class TestRegionLayout:
 class TestStratifiedAssign:
     def test_exact_counts(self):
         rng = np.random.default_rng(1)
-        out = _stratified_assign(1000, (0.25, 0.10), (1, 2), 0, rng)
+        out, counts = _stratified_assign(1000, (0.25, 0.10), (1, 2), 0, rng)
+        assert counts == [250, 100]
         assert int(np.count_nonzero(out == 1)) == 250
         assert int(np.count_nonzero(out == 2)) == 100
         assert int(np.count_nonzero(out == 0)) == 650
 
     def test_rounding_preserves_total(self):
         rng = np.random.default_rng(2)
-        out = _stratified_assign(7, (0.5, 0.3), (1, 2), 0, rng)
+        out, counts = _stratified_assign(7, (0.5, 0.3), (1, 2), 0, rng)
         assert len(out) == 7
+        assert sum(counts) <= 7
 
     @given(
         n=st.integers(min_value=1, max_value=5000),
@@ -118,7 +120,7 @@ class TestStratifiedAssign:
     @settings(max_examples=100)
     def test_counts_within_one_of_expectation(self, n, f1, f2):
         rng = np.random.default_rng(3)
-        out = _stratified_assign(n, (f1, f2), (1, 2), 0, rng)
+        out, _ = _stratified_assign(n, (f1, f2), (1, 2), 0, rng)
         assert abs(int(np.count_nonzero(out == 1)) - f1 * n) <= 1
         assert abs(int(np.count_nonzero(out == 2)) - f2 * n) <= 1
         assert len(out) == n

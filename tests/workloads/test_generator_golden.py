@@ -155,11 +155,13 @@ def test_stratified_assign_matches_the_byte_width_oracle(case):
     n, fractions, labels, default_label, seed = case
     rng = np.random.default_rng(seed)
     oracle_rng = np.random.default_rng(seed)
-    out = _stratified_assign(n, fractions, labels, default_label, rng)
+    out, counts = _stratified_assign(n, fractions, labels, default_label, rng)
     expected = byte_width_stratified_assign(
         n, fractions, labels, default_label, oracle_rng
     )
     assert out.dtype == np.uint8
     assert np.array_equal(out, expected)
+    # The counts it returns are its labels' counts.
+    assert counts == [int(np.count_nonzero(out == label)) for label in labels]
     # The same draws were taken: the generator's next draw agrees too.
     assert rng.random() == oracle_rng.random()
