@@ -62,10 +62,6 @@ class SubsetValidation:
         raise AnalysisError("metric %r was not validated" % metric)
 
     @property
-    def max_relative_error(self) -> float:
-        return max(entry.relative_error for entry in self.results)
-
-    @property
     def mean_relative_error(self) -> float:
         return float(np.mean([entry.relative_error for entry in self.results]))
 

@@ -275,10 +275,6 @@ class Tracer:
     # -- introspection -----------------------------------------------------
 
     @property
-    def active_depth(self) -> int:
-        return len(self._stack)
-
-    @property
     def dropped(self) -> int:
         """Spans evicted from the ring buffer (still in the sink)."""
         return self._dropped

@@ -20,8 +20,14 @@ Every report additionally passes the counter-consistency gate
 (:meth:`~repro.perf.report.CounterReport.require_valid`): inconsistent
 counters from a worker become a ``PairFailure``, and inconsistent cache
 entries are re-simulated instead of served.
-Every run returns a :class:`RunManifest` recording per-pair wall time,
-cache hit/miss counts, worker count, and failures.
+
+Each :meth:`SuiteRunner.run` call keeps one per-run record, ``_Sweep``,
+where every pair ends exactly once: a validated cache hit, a simulated
+report that passed the gate, or a failure.  One function,
+``_attempt``, times every ``PerfSession.run`` attempt, a pool task's and
+the parent's retries alike.  Every run returns a :class:`RunManifest`
+recording per-pair wall time, cache hit/miss counts, worker count, and
+failures.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .. import obs
 from ..config import SystemConfig
@@ -51,14 +57,31 @@ _RETRIES = 1
 
 PairLike = Union[AppInput, WorkloadProfile]
 
-#: ``store(pair_name, values)`` — persists one validated pair's counters.
-StoreCallback = Callable[[str, Dict[str, float]], None]
+
+def _attempt(
+    session: PerfSession, profile: WorkloadProfile, span
+) -> Tuple[str, object, float]:
+    """Time one ``session.run(profile)`` inside ``span``.
+
+    Returns ``("ok", counters, seconds)`` or ``("error", (error type
+    name, message), seconds)``.  The exception becomes that plain tuple
+    only after ``span`` has recorded ``status=error``, so the trace shows
+    the failed attempt and no repro exception ever needs to survive
+    pickling.
+    """
+    started = time.perf_counter()
+    try:
+        with span:
+            report = session.run(profile)
+        outcome = ("ok", dict(report))
+    except Exception as error:  # structured transport; the caller retries
+        outcome = ("error", (type(error).__name__, str(error)))
+    return outcome + (time.perf_counter() - started,)
 
 
 # ---------------------------------------------------------------------------
 # Worker side.  One PerfSession per worker process, created by the pool
-# initializer; tasks return plain tuples so no repro exception ever needs
-# to survive pickling.
+# initializer.
 # ---------------------------------------------------------------------------
 
 _WORKER_SESSION: Optional[PerfSession] = None
@@ -80,17 +103,9 @@ def _init_worker(
 def _run_pair(
     profile: WorkloadProfile,
 ) -> Tuple[str, object, float, Dict[str, object]]:
-    started = time.perf_counter()
-    try:
-        with obs.profile("pair.run", pair=profile.pair_name):
-            report = _WORKER_SESSION.run(profile)
-        payload = ("ok", dict(report))
-    except Exception as error:  # structured transport; parent retries
-        payload = ("error", (type(error).__name__, str(error)))
-    status, body = payload
-    # worker_payload() drains this task's spans (error spans included —
-    # the parent's trace shows the failed attempt).
-    return status, body, time.perf_counter() - started, obs.worker_payload()
+    span = obs.profile("pair.run", pair=profile.pair_name)
+    # worker_payload() drains this task's spans, a failed attempt's too.
+    return _attempt(_WORKER_SESSION, profile, span) + (obs.worker_payload(),)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +215,94 @@ class SuiteRunResult:
             ) from None
 
 
+class _Sweep:
+    """One :meth:`SuiteRunner.run` call's record of its pairs.
+
+    Every pair ends here exactly once, in one of three ways: :meth:`lookup`
+    serves a validated cache hit, :meth:`done` records a simulated pair
+    whose counters pass the consistency gate, and :meth:`fail` records a
+    failure, whether strict, inconsistent or out of attempts.
+    """
+
+    def __init__(self, runner: SuiteRunner, shard: Optional[CacheShard]):
+        self.runner = runner
+        self.shard = shard
+        self.reports: Dict[str, CounterReport] = {}
+        self.records: Dict[str, PairRecord] = {}
+        self.failures: List[PairFailure] = []
+        self.keys: Dict[str, str] = {}
+
+    def lookup(self, profile: WorkloadProfile) -> bool:
+        """Serve ``profile`` from the shard; False if it must be simulated."""
+        if self.shard is None:
+            return False
+        started = time.perf_counter()
+        runner = self.runner
+        name = profile.pair_name
+        key = self.keys[name] = runner.cache.key(
+            runner.config, profile, runner.sample_ops, WARMUP_FRACTION,
+            engine=runner._session.resolved_engine,
+        )
+        values = runner.cache.load(key, self.shard)
+        if values is None:
+            return False
+        try:
+            # require_valid covers both stale layouts (unknown counters ->
+            # CounterError) and corrupt entries (inconsistent counters);
+            # either way the pair is re-simulated, not served poisoned.
+            self.reports[name] = CounterReport(profile, values).require_valid()
+        except CounterError:
+            return False
+        seconds = time.perf_counter() - started
+        obs.record("pair.run", wall_s=seconds, pair=name, cache="hit")
+        self.records[name] = PairRecord(name, seconds, True, 0)
+        return True
+
+    def done(
+        self, profile: WorkloadProfile, values: Dict[str, float],
+        seconds: float, attempts: int,
+    ) -> None:
+        """Record (and cache) a simulated pair's counters."""
+        name = profile.pair_name
+        try:
+            # Counter-consistency gate: a worker that returns inconsistent
+            # counters (or a transport that mangled them) yields a
+            # structured failure here, never a poisoned report — and never
+            # a cache entry.
+            self.reports[name] = CounterReport(profile, values).require_valid()
+        except CounterError as error:
+            self.fail(name, (type(error).__name__, str(error)), seconds,
+                      attempts)
+            return
+        if self.shard is not None:
+            try:
+                self.shard.entries[self.keys[name]] = self.runner.cache.store(
+                    self.keys[name], name, values, self.shard
+                )
+            except OSError:
+                # A cache write failure (read-only dir, full disk) must
+                # not sink a sweep whose counters are already in hand;
+                # the pair simply stays uncached.
+                pass
+        self.records[name] = PairRecord(name, seconds, False, attempts)
+
+    def fail(
+        self, name: str, error: Tuple[str, str], seconds: float,
+        attempts: int,
+    ) -> None:
+        """Record a pair that yields no report: ``error`` is ``(error type
+        name, message)``."""
+        error_type, message = error
+        self.failures.append(PairFailure(name, error_type, message, attempts))
+        obs.record(
+            "pair.failure", pair=name, error_type=error_type,
+            attempts=attempts, retries=_RETRIES,
+        )
+        self.records[name] = PairRecord(
+            name, seconds, False, attempts, error_type
+        )
+
+
 # ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
@@ -287,28 +390,6 @@ class SuiteRunner:
         started = time.perf_counter()
         total = len(profiles)
 
-        reports: Dict[str, CounterReport] = {}
-        records: Dict[str, PairRecord] = {}
-        failures: List[PairFailure] = []
-        keys: Dict[str, str] = {}
-        pending: List[WorkloadProfile] = []
-
-        def finish(record: PairRecord) -> None:
-            records[record.pair_name] = record
-
-        def store(name: str, values: Dict[str, float]) -> None:
-            if shard is None:
-                return
-            try:
-                shard.entries[keys[name]] = self.cache.store(
-                    keys[name], name, values, shard
-                )
-            except OSError:
-                # A cache write failure (read-only dir, full disk) must
-                # not sink a sweep whose counters are already in hand;
-                # the pair simply stays uncached.
-                pass
-
         engine = self._session.resolved_engine
         with obs.profile(
             "suite.run",
@@ -329,68 +410,29 @@ class SuiteRunner:
                     self.config, self.sample_ops, WARMUP_FRACTION,
                     engine=engine,
                 )
-            shard = self._shard
-            hits = 0
+            sweep = _Sweep(self, self._shard)
+            pending: List[WorkloadProfile] = []
             for profile in profiles:
-                name = profile.pair_name
                 if strict_errors and profile.collection_error:
-                    failures.append(
-                        PairFailure(
-                            name, "CollectionError", _COLLECTION_REASON, 0
-                        )
+                    sweep.fail(
+                        profile.pair_name,
+                        ("CollectionError", _COLLECTION_REASON), 0.0, 0,
                     )
-                    obs.record(
-                        "pair.failure", pair=name,
-                        error_type="CollectionError", attempts=0,
-                        retries=_RETRIES,
-                    )
-                    finish(PairRecord(name, 0.0, False, 0, "CollectionError"))
-                    continue
-                if shard is not None:
-                    lookup_started = time.perf_counter()
-                    key = self.cache.key(
-                        self.config, profile, self.sample_ops,
-                        WARMUP_FRACTION, engine=engine,
-                    )
-                    keys[name] = key
-                    values = self.cache.load(key, shard)
-                    if values is not None:
-                        try:
-                            # require_valid covers both stale layouts
-                            # (unknown counters -> CounterError) and corrupt
-                            # entries (inconsistent counters); either way
-                            # the pair is re-simulated, not served poisoned.
-                            reports[name] = CounterReport(
-                                profile, values
-                            ).require_valid()
-                        except CounterError:
-                            values = None
-                    if values is not None:
-                        hits += 1
-                        lookup_seconds = time.perf_counter() - lookup_started
-                        obs.record(
-                            "pair.run", wall_s=lookup_seconds,
-                            pair=name, cache="hit",
-                        )
-                        finish(PairRecord(name, lookup_seconds, True, 0))
-                        continue
-                pending.append(profile)
+                elif not sweep.lookup(profile):
+                    pending.append(profile)
 
+            hits = sum(record.cached for record in sweep.records.values())
             misses = len(pending)
             self.total_cache_hits += hits
             self.total_cache_misses += misses
 
             # Phase 2: simulate the misses — pooled when it pays, else
             # inline.
-            if pending:
-                if self.workers > 1 and len(pending) > 1:
-                    self._run_pooled(pending, reports, failures, store, finish)
-                else:
-                    for profile in pending:
-                        self._run_with_retries(
-                            profile, reports, failures, store, finish,
-                            prior_attempts=0, prior_seconds=0.0,
-                        )
+            if self.workers > 1 and len(pending) > 1:
+                self._run_pooled(sweep, pending)
+            else:
+                for profile in pending:
+                    self._run_with_retries(sweep, profile)
 
             manifest = RunManifest(
                 workers=self.workers,
@@ -398,18 +440,18 @@ class SuiteRunner:
                 cache_hits=hits,
                 cache_misses=misses,
                 wall_time_seconds=time.perf_counter() - started,
-                records=tuple(records[p.pair_name] for p in profiles),
+                records=tuple(sweep.records[p.pair_name] for p in profiles),
             )
             run_span.set("cache_hits", hits)
             run_span.set("cache_misses", misses)
             run_span.set("failures", manifest.failure_count)
         ordered = {
-            p.pair_name: reports[p.pair_name]
+            p.pair_name: sweep.reports[p.pair_name]
             for p in profiles
-            if p.pair_name in reports
+            if p.pair_name in sweep.reports
         }
         self._append_ledger(manifest, ordered)
-        return SuiteRunResult(ordered, tuple(failures), manifest)
+        return SuiteRunResult(ordered, tuple(sweep.failures), manifest)
 
     def _append_ledger(
         self, manifest: RunManifest, reports: Dict[str, CounterReport]
@@ -452,94 +494,35 @@ class SuiteRunner:
             profiles.append(profile)
         return profiles
 
-    def _record_success(
-        self,
-        profile: WorkloadProfile,
-        values: Dict[str, float],
-        seconds: float,
-        attempts: int,
-        reports: Dict[str, CounterReport],
-        failures: List[PairFailure],
-        store: StoreCallback,
-        finish: Callable[[PairRecord], None],
-    ) -> None:
-        name = profile.pair_name
-        try:
-            # Counter-consistency gate: a worker that returns inconsistent
-            # counters (or a transport that mangled them) yields a
-            # structured failure here, never a poisoned report — and never
-            # a cache entry.
-            reports[name] = CounterReport(profile, values).require_valid()
-        except CounterError as error:
-            error_type = type(error).__name__
-            failures.append(PairFailure(name, error_type, str(error), attempts))
-            obs.record(
-                "pair.failure", pair=name, error_type=error_type,
-                attempts=attempts, retries=_RETRIES,
-            )
-            finish(PairRecord(name, seconds, False, attempts, error_type))
-            return
-        store(name, values)
-        finish(PairRecord(name, seconds, False, attempts))
-
     def _run_with_retries(
-        self,
-        profile: WorkloadProfile,
-        reports: Dict[str, CounterReport],
-        failures: List[PairFailure],
-        store: StoreCallback,
-        finish: Callable[[PairRecord], None],
-        prior_attempts: int,
-        prior_seconds: float,
-        last_error: Optional[Tuple[str, str]] = None,
+        self, sweep: _Sweep, profile: WorkloadProfile, attempts: int = 0,
+        seconds: float = 0.0,
     ) -> None:
-        """Run one pair inline with the remaining retry budget."""
+        """Run one pair inline until it succeeds or has had ``1 +
+        _RETRIES`` attempts, ``attempts`` of them already made."""
         name = profile.pair_name
-        attempts = prior_attempts
-        seconds = prior_seconds
         with obs.profile("pair.run", pair=name, cache="miss") as pair_span:
             while attempts <= _RETRIES:
                 attempts += 1
-                attempt_started = time.perf_counter()
-                try:
-                    if attempts > 1:
-                        # Retries get their own subtree so a failed first
-                        # attempt's stage spans and the retry's never
-                        # interleave under pair.run — each attempt stays
-                        # a distinct, correctly parented unit.
-                        with obs.profile(
-                            "pair.retry", pair=name, attempt=attempts
-                        ):
-                            report = self._session.run(profile)
-                    else:
-                        report = self._session.run(profile)
-                except Exception as error:
-                    seconds += time.perf_counter() - attempt_started
-                    last_error = (type(error).__name__, str(error))
-                    continue
-                seconds += time.perf_counter() - attempt_started
-                pair_span.set("attempts", attempts)
-                self._record_success(
-                    profile, dict(report), seconds, attempts, reports,
-                    failures, store, finish,
+                # Retries get their own subtree so a failed first attempt's
+                # stage spans and the retry's never interleave under
+                # pair.run — each attempt stays a distinct, correctly
+                # parented unit.
+                span = obs.NULL_SPAN if attempts == 1 else obs.profile(
+                    "pair.retry", pair=name, attempt=attempts
                 )
-                return
+                status, body, elapsed = _attempt(self._session, profile, span)
+                seconds += elapsed
+                if status == "ok":
+                    break
             pair_span.set("attempts", attempts)
-            error_type, message = last_error or ("Error", "unknown failure")
-            failures.append(PairFailure(name, error_type, message, attempts))
-            obs.record(
-                "pair.failure", pair=name, error_type=error_type,
-                attempts=attempts, retries=_RETRIES,
-            )
-            finish(PairRecord(name, seconds, False, attempts, error_type))
+            if status == "ok":
+                sweep.done(profile, body, seconds, attempts)
+            else:
+                sweep.fail(name, body, seconds, attempts)
 
     def _run_pooled(
-        self,
-        pending: List[WorkloadProfile],
-        reports: Dict[str, CounterReport],
-        failures: List[PairFailure],
-        store: StoreCallback,
-        finish: Callable[[PairRecord], None],
+        self, sweep: _Sweep, pending: List[WorkloadProfile]
     ) -> None:
         workers = min(self.workers, len(pending))
         obs_payloads: Dict[str, object] = {}
@@ -562,33 +545,20 @@ class SuiteRunner:
             for future in as_completed(futures):
                 profile = futures[future]
                 try:
-                    status, payload, seconds, obs_payload = future.result()
-                except Exception as error:
+                    status, body, seconds, payload = future.result()
+                except Exception:
                     # Pool-level failure (e.g. BrokenProcessPool): retry
                     # in the parent so one dead worker cannot sink the run.
-                    status = "error"
-                    payload = (type(error).__name__, str(error))
-                    seconds = 0.0
-                    obs_payload = None
-                if obs_payload is not None:
-                    obs_payloads[profile.pair_name] = obs_payload
+                    status, seconds, payload = "error", 0.0, None
+                obs_payloads[profile.pair_name] = payload
                 if status == "ok":
-                    self._record_success(
-                        profile, payload, seconds, 1, reports, failures,
-                        store, finish,
-                    )
+                    sweep.done(profile, body, seconds, 1)
                 else:
-                    self._run_with_retries(
-                        profile, reports, failures, store, finish,
-                        prior_attempts=1, prior_seconds=seconds,
-                        last_error=tuple(payload),
-                    )
+                    self._run_with_retries(sweep, profile, 1, seconds)
         # Graft worker traces after the pool drains, in submission order,
         # so the span tree is deterministic despite as_completed racing.
         for profile in pending:
-            payload = obs_payloads.get(profile.pair_name)
-            if payload is not None:
-                obs.absorb_worker_payload(
-                    payload,
-                    extra_root_attrs={"cache": "miss", "worker": True},
-                )
+            obs.absorb_worker_payload(
+                obs_payloads[profile.pair_name],
+                extra_root_attrs={"cache": "miss", "worker": True},
+            )

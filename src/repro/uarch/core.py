@@ -37,7 +37,7 @@ from .branch import PredictorStats, make_predictor
 from .hierarchy import HierarchyStats, MemoryHierarchy
 from .memory import FootprintEstimate, FootprintTracker
 from .pipeline import CPIBreakdown, PipelineModel
-from .vector import EngineMeasurement
+from .vector import EngineMeasurement, _conditional_warmup
 
 #: The engines a run may name.  "scalar" is the op-loop reference
 #: implementation, "vector" the batched numpy engine, "auto" (every
@@ -228,12 +228,7 @@ class SimulatedCore:
         # ---- conditional branch stream --------------------------------------
         sites = trace.cond_site.tolist()
         outcomes = trace.cond_taken.tolist()
-        # Table predictors need a few thousand observations to converge;
-        # extend the warmup window for short conditional streams (but never
-        # past half the stream so something is always measured).
-        cond_warmup = min(
-            len(sites) // 2, max(int(len(sites) * warmup_fraction), 2048)
-        )
+        cond_warmup = _conditional_warmup(len(sites), warmup_fraction)
         observe = predictor.access
         for position, (site, taken) in enumerate(zip(sites, outcomes)):
             if position == cond_warmup:

@@ -540,26 +540,29 @@ def _conditional_predictions(
 # Execution
 # ---------------------------------------------------------------------------
 
+def _conditional_warmup(n_cond: int, warmup_fraction: float) -> int:
+    """Conditional branches that train the predictor before measuring.
+
+    Table predictors need a few thousand observations to converge, so a
+    short conditional stream gets a longer warmup window, but never past
+    half the stream, so something is always measured.  Both engines use
+    this rule.
+    """
+    return min(n_cond // 2, max(int(n_cond * warmup_fraction), 2048))
+
+
 def execute_vector(
     config: SystemConfig,
     trace: SyntheticTrace,
     warmup_fraction: float,
-    hit_levels: Optional[np.ndarray] = None,
+    hit_levels: np.ndarray,
 ) -> EngineMeasurement:
     """Measure ``trace`` with batched array passes.
 
     ``hit_levels`` is the per-region analysis from :func:`analyze_trace`
-    (recomputed when omitted).  Given a supported config/trace pair the
-    result is bit-identical to the scalar engine's measurement.
+    of a supported config/trace pair; the result is then bit-identical to
+    the scalar engine's measurement.
     """
-    if hit_levels is None:
-        with obs.profile("engine.vector.analyze"):
-            reason, hit_levels = analyze_trace(config, trace)
-        if reason is None:
-            reason = _config_reason(config)
-        if reason is not None:
-            raise SimulationError("vector engine unsupported: " + reason)
-
     # ---- memory stream: (region, is_store) counts per served level ---
     mem_started = time.perf_counter() if obs.enabled() else 0.0
     regions = trace.mem_region
@@ -614,9 +617,7 @@ def execute_vector(
     sites = trace.cond_site
     taken = trace.cond_taken
     n_cond = int(sites.shape[0])
-    cond_warmup = min(
-        n_cond // 2, max(int(n_cond * warmup_fraction), 2048)
-    )
+    cond_warmup = _conditional_warmup(n_cond, warmup_fraction)
     predictions = _conditional_predictions(
         config.branch_predictor, sites, taken
     )

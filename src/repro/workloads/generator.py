@@ -432,10 +432,6 @@ class RegionLayout:
                   for region in range(len(self.lines))]
         return _interleave(mem_region, self.runs(counts))
 
-    def compulsory_lines(self) -> int:
-        """Total distinct lines (bounds the cold-miss transient)."""
-        return int(sum(len(lines) for lines in self.lines))
-
 
 def draw(
     profile: WorkloadProfile,

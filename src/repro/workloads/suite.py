@@ -70,9 +70,6 @@ class Benchmark:
         """Numeric SPEC id (505 for 505.mcf_r)."""
         return int(self.name.split(".", 1)[0])
 
-    def input_sizes(self) -> Tuple[InputSize, ...]:
-        return tuple(self._profiles)
-
     def inputs(self, size: InputSize) -> Tuple[WorkloadProfile, ...]:
         """All input profiles for one size (empty tuple if size missing)."""
         return self._profiles.get(size, ())
