@@ -201,14 +201,14 @@ def profile(name: str, **attrs: object):
     """
     if _TRACER is None:
         return NULL_SPAN
-    return _TRACER.span(name, **attrs)
+    return _TRACER._open(name, attrs)
 
 
 def record(name: str, wall_s: float = 0.0, **attrs: object) -> None:
     """Record an externally timed or instantaneous span (no-op when
     disabled)."""
     if _TRACER is not None:
-        _TRACER.record(name, wall_s=wall_s, **attrs)
+        _TRACER._record(name, wall_s, 0.0, attrs)
 
 
 def worker_payload() -> Optional[Dict[str, object]]:

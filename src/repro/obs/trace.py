@@ -33,6 +33,7 @@ import json
 import os
 import time
 from collections import deque
+from time import perf_counter, process_time
 from typing import Dict, Iterable, List, Optional
 
 from ..errors import ReproError
@@ -48,6 +49,27 @@ DEFAULT_CAPACITY = 4096
 
 class ObsError(ReproError):
     """Raised for observability-layer misuse (bad sink, bad graft)."""
+
+
+def _span_record(span_id: int, parent_id: Optional[int], depth: int,
+                 name: str, t0_s: float, wall_s: float, cpu_s: float,
+                 status: str, attrs: Dict[str, object],
+                 pid: int) -> Dict[str, object]:
+    """One finished span: the JSONL line's fields (positional, since it
+    runs once per span)."""
+    return {
+        "schema": SPAN_SCHEMA,
+        "id": span_id,
+        "parent": parent_id,
+        "depth": depth,
+        "name": name,
+        "t0_s": t0_s,
+        "wall_s": wall_s,
+        "cpu_s": cpu_s,
+        "status": status,
+        "attrs": attrs,
+        "pid": pid,
+    }
 
 
 class SpanHandle:
@@ -80,24 +102,24 @@ class SpanHandle:
         return self
 
     def __enter__(self) -> "SpanHandle":
-        self._wall0 = time.perf_counter()
-        self._cpu0 = time.process_time()
+        self._wall0 = perf_counter()
+        self._cpu0 = process_time()
         profiler = self._tracer._profiler
         if profiler is not None:
             profiler.span_started(self.name)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        profiler = self._tracer._profiler
-        if profiler is not None:
-            profiler.span_finished(self.name)
-        wall = time.perf_counter() - self._wall0
-        cpu = time.process_time() - self._cpu0
+        tracer = self._tracer
+        if tracer._profiler is not None:
+            tracer._profiler.span_finished(self.name)
+        wall = perf_counter() - self._wall0
+        cpu = process_time() - self._cpu0
         status = "ok"
         if exc_type is not None:
             status = "error"
             self.attrs.setdefault("error_type", exc_type.__name__)
-        self._tracer._finish(self, wall, cpu, status)
+        tracer._finish(self, wall, cpu, status)
         return False  # never swallow
 
 
@@ -184,17 +206,15 @@ class Tracer:
 
     def span(self, name: str, **attrs: object) -> SpanHandle:
         """Open a span as a child of the innermost active span."""
-        parent = self._stack[-1] if self._stack else None
-        handle = SpanHandle(
-            tracer=self,
-            name=name,
-            span_id=self._next_id,
-            parent_id=parent.span_id if parent else None,
-            depth=len(self._stack),
-            attrs=attrs,
-        )
+        return self._open(name, attrs)
+
+    def _open(self, name: str, attrs: Dict[str, object]) -> SpanHandle:
+        stack = self._stack
+        handle = SpanHandle(self, name, self._next_id,
+                            stack[-1].span_id if stack else None,
+                            len(stack), attrs)
         self._next_id += 1
-        self._stack.append(handle)
+        stack.append(handle)
         return handle
 
     def record(self, name: str, wall_s: float = 0.0, cpu_s: float = 0.0,
@@ -204,20 +224,17 @@ class Tracer:
         Used for events whose duration was timed externally (cache hits)
         or that are instantaneous markers (``pair.failure``).
         """
-        parent = self._stack[-1] if self._stack else None
+        return self._record(name, wall_s, cpu_s, attrs)
+
+    def _record(self, name: str, wall_s: float, cpu_s: float,
+                attrs: Dict[str, object]) -> Dict[str, object]:
+        stack = self._stack
         # The externally timed work ended "now", so it started wall_s ago.
-        t0_s = max(time.perf_counter() - self._t_init - wall_s, 0.0)
-        record = self._make_record(
-            span_id=self._next_id,
-            parent_id=parent.span_id if parent else None,
-            depth=len(self._stack),
-            name=name,
-            wall_s=wall_s,
-            cpu_s=cpu_s,
-            status="ok",
-            attrs=attrs,
-            t0_s=t0_s,
-            pid=self.pid,
+        record = _span_record(
+            self._next_id, stack[-1].span_id if stack else None,
+            len(stack), name,
+            max(perf_counter() - self._t_init - wall_s, 0.0),
+            wall_s, cpu_s, "ok", attrs, self.pid,
         )
         self._next_id += 1
         self._emit(record)
@@ -225,44 +242,19 @@ class Tracer:
 
     def _finish(self, handle: SpanHandle, wall_s: float, cpu_s: float,
                 status: str) -> None:
-        if not self._stack or self._stack[-1] is not handle:
+        stack = self._stack
+        if not stack or stack[-1] is not handle:
             # Mis-nested exit (a hook leaked a handle): fail loudly in
             # tests rather than silently corrupting the tree.
             raise ObsError(
                 "span %r finished out of order" % handle.name
             )
-        self._stack.pop()
-        self._emit(self._make_record(
-            span_id=handle.span_id,
-            parent_id=handle.parent_id,
-            depth=handle.depth,
-            name=handle.name,
-            wall_s=wall_s,
-            cpu_s=cpu_s,
-            status=status,
-            attrs=handle.attrs,
-            t0_s=handle._wall0 - self._t_init,
-            pid=self.pid,
+        stack.pop()
+        self._emit(_span_record(
+            handle.span_id, handle.parent_id, handle.depth, handle.name,
+            handle._wall0 - self._t_init, wall_s, cpu_s, status,
+            handle.attrs, self.pid,
         ))
-
-    @staticmethod
-    def _make_record(span_id: int, parent_id: Optional[int], depth: int,
-                     name: str, wall_s: float, cpu_s: float, status: str,
-                     attrs: Dict[str, object], t0_s: float = 0.0,
-                     pid: int = 0) -> Dict[str, object]:
-        return {
-            "schema": SPAN_SCHEMA,
-            "id": span_id,
-            "parent": parent_id,
-            "depth": depth,
-            "name": name,
-            "t0_s": t0_s,
-            "wall_s": wall_s,
-            "cpu_s": cpu_s,
-            "status": status,
-            "attrs": attrs,
-            "pid": pid,
-        }
 
     def _emit(self, record: Dict[str, object]) -> None:
         if len(self._buffer) == self.capacity:
@@ -333,17 +325,17 @@ class Tracer:
                 new_parent = id_map.get(
                     old_parent, parent.span_id if parent else None
                 )
-            self._emit(self._make_record(
-                span_id=id_map[record["id"]],
-                parent_id=new_parent,
-                depth=base_depth + int(record.get("depth") or 0),
-                name=str(record.get("name")),
-                wall_s=float(record.get("wall_s") or 0.0),
-                cpu_s=float(record.get("cpu_s") or 0.0),
-                status=str(record.get("status") or "ok"),
-                attrs=attrs,
-                t0_s=float(record.get("t0_s") or 0.0) + rebase_s,
-                pid=int(record.get("pid") or self.pid),
+            self._emit(_span_record(
+                id_map[record["id"]],
+                new_parent,
+                base_depth + int(record.get("depth") or 0),
+                str(record.get("name")),
+                float(record.get("t0_s") or 0.0) + rebase_s,
+                float(record.get("wall_s") or 0.0),
+                float(record.get("cpu_s") or 0.0),
+                str(record.get("status") or "ok"),
+                attrs,
+                int(record.get("pid") or self.pid),
             ))
             count += 1
         return count

@@ -33,6 +33,10 @@ generated traces:
    with a prefix scan of transition-function compositions over the
    index-sorted stream (O(n log n), bit-exact), which skips the steps
    that move nothing and stops as soon as every prefix has converged.
+   The engine needs only the window's mispredict count, so each table's
+   states are compared with the outcomes in the sorted order the scan
+   leaves them, and nothing is put back in stream order but what the
+   tournament's chooser reads.
 
 The parity guarantee — identical integer counters, identical derived
 floats — is enforced by the test suite over every predictor family and
@@ -113,6 +117,12 @@ def _config_reason(config: SystemConfig) -> Optional[str]:
     return None
 
 
+#: Entries of an address run searched for its first non-increase before
+#: the whole run is: a generator layout's period, at most ``2 * max(ways)
+#: + 2`` lines, lies within it for up to 63 ways.
+_PERIOD_PREFIX = 128
+
+
 def _sweep_lines(accesses: np.ndarray) -> Optional[np.ndarray]:
     """The sorted line set ``accesses`` sweeps cyclically, else None.
 
@@ -120,12 +130,18 @@ def _sweep_lines(accesses: np.ndarray) -> Optional[np.ndarray]:
     ``unique(accesses)[arange(n) % L]``: it strictly increases up to its
     first non-increase at index ``p`` (``p = n`` if there is none), and
     from there on repeats itself with period ``p``.  Then its first ``p``
-    entries are the line set.  One O(n) pass, no sort.
+    entries are the line set.  The first non-increase is looked for in
+    the first ``_PERIOD_PREFIX + 1`` entries, and in the whole run only
+    when none lies there; then one comparison pass decides.  O(n), no
+    sort.
     """
     n = int(accesses.shape[0])
-    drops = np.flatnonzero(accesses[1:] <= accesses[:-1])
+    head = accesses[:_PERIOD_PREFIX + 1]
+    drops = np.flatnonzero(head[1:] <= head[:-1])
+    if not drops.size and n > head.size:
+        drops = np.flatnonzero(accesses[1:] <= accesses[:-1])
     period = int(drops[0]) + 1 if drops.size else n
-    if not np.array_equal(accesses[period:], accesses[:n - period]):
+    if not (accesses[period:] == accesses[:n - period]).all():
         return None
     return accesses[:period]
 
@@ -304,7 +320,9 @@ class _KeyGroups:
 
     Built once per distinct key array; multiple step streams (e.g. a
     tournament's bimodal table and chooser table, both indexed by the
-    same masked site) then share the sort and the segment boundaries.
+    same masked site) then share the sort and the group starts.
+    ``order`` sorts the stream by key, stably, and ``starts`` holds the
+    sorted position of each group's first access.
     """
 
     def __init__(self, keys: np.ndarray):
@@ -317,50 +335,54 @@ class _KeyGroups:
         # indices, never negative — are cast to the narrowest unsigned
         # dtype their range allows: every default table sorts as uint16.
         narrow = np.min_scalar_type(int(keys.max())) if n else np.uint8
-        self.order = np.argsort(keys.astype(narrow), kind="stable")
+        self.order = np.argsort(keys.astype(narrow, copy=False), kind="stable")
         sorted_keys = keys[self.order]
         new_group = np.empty(n, dtype=bool)
         if n:
             new_group[0] = True
-            new_group[1:] = sorted_keys[1:] != sorted_keys[:-1]
-        self.new_group = new_group
+            np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new_group[1:])
+        self.starts = np.flatnonzero(new_group)
 
-    def counter_states(
-        self, steps: np.ndarray, init: int = _INIT_STATE
-    ) -> np.ndarray:
-        """Exact per-access saturating-counter states for one table.
+    def scan(
+        self, sorted_steps: np.ndarray, init: int = _INIT_STATE
+    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        """Counter states before the accesses that can move a counter.
 
         Args:
-            steps: int array (n,) — the update each access applies to
-                its entry: +1 (strengthen), -1 (weaken), or 0 (leave
-                alone), all saturating at [0, _MAX_STATE].
+            sorted_steps: int8 array (n,), in sorted order — the update
+                each access applies to its entry: +1 (strengthen), -1
+                (weaken), or 0 (leave alone), all saturating at
+                [0, _MAX_STATE].
             init: state every entry starts in.
 
         Returns:
-            int8 array (n,) — each entry's state *before* its access, in
-            original stream order; equivalent to a sequential replay.
+            ``(scanned, before)``: the sorted positions the scan covers
+            (every nonzero step and each group's first access, ascending;
+            ``None`` when every step moves and the scan covers all), and
+            the int8 state of each one's entry *before* its access, in
+            that order; equivalent to a sequential replay.
 
         A saturating step is the map ``s -> min(hi, max(lo, s + a))``,
         and that family is closed under composition — composing two such
         maps sums the shifts and narrows the clamp window.  Each clamp
         window is kept as the map's images of 0 and _MAX_STATE, so a map
         is constant exactly when ``low == high``.  The whole group-prefix
-        problem therefore reduces to a Hillis-Steele scan over three flat
-        ``int8`` arrays (shift, low clamp, high clamp): O(n log n) vector
-        arithmetic, bit-exact.  Shifts are saturated to ±_MAX_STATE,
-        which keeps them in ``int8`` and changes no state: a later
-        window's shift beyond ±_MAX_STATE sends every state in
-        [0, _MAX_STATE] to the same clamp bound.
+        problem therefore reduces to a Hillis-Steele scan over ``int8``
+        arrays (the shifts, and both clamp images stacked in one array):
+        O(n log n) vector arithmetic, bit-exact.  Shifts are left to wrap
+        around: a map whose shift passes ±(_MAX_STATE - 1) is constant,
+        and a constant map's shift is never read, since composing it
+        after anything leaves the same constant and composing anything
+        after it gives a constant.
 
         Three facts cut the work:
 
         * A zero step leaves its entry unchanged, so the scan covers only
-          the steps that move a counter, plus each group's first access.
-          Every access then sees the state after the last scanned step
-          before it: ``np.repeat`` over the gaps between scanned steps.
-          When every step moves (every always-training table), the scan
-          covers the whole stream and each access sees its predecessor's
-          state, with no compaction and no ``np.repeat``.
+          the steps that move a counter, plus each group's first access;
+          an access it skips sees the state after the last scanned step
+          before it (:meth:`counter_states`).  When every step moves
+          (every always-training table), the scan covers the whole
+          stream with no compaction.
         * Each group's first map applies its step to ``init``, which makes
           it constant.  A prefix that reaches back to its group's start is
           therefore constant too, and no composition crosses a group
@@ -370,61 +392,74 @@ class _KeyGroups:
           more, changes.  So every prefix is extended unconditionally, and
           the scan stops once every prefix is constant.
         """
-        # int8 bounds: np.clip looks Python-int bounds up in np.iinfo on
-        # every call.
+        # np.minimum/np.maximum with int8 bounds: np.clip goes through
+        # Python wrappers, and looks Python-int bounds up in np.iinfo.
         zero, top = np.int8(0), np.int8(_MAX_STATE)
-        sorted_steps = steps[self.order]
-        dense = bool(sorted_steps.all())
-        if dense:
-            shift = sorted_steps.astype(np.int8, copy=False)
-            first = self.new_group
+        if sorted_steps.all():
+            scanned = None
+            shift = sorted_steps.astype(np.int8)
+            first = self.starts
         else:
-            scanned = np.flatnonzero((sorted_steps != 0) | self.new_group)
+            moves = sorted_steps != 0
+            moves[self.starts] = True
+            scanned = np.flatnonzero(moves)
             shift = sorted_steps[scanned].astype(np.int8, copy=False)
-            first = self.new_group[scanned]
-        low = np.clip(shift, zero, top)
-        high = np.clip(shift + top, zero, top)
-        low[first] = high[first] = np.clip(init + shift[first], zero, top)
+            first = np.searchsorted(scanned, self.starts)
+        # clamps[0] and clamps[1] hold each map's images of 0 and
+        # _MAX_STATE; for a single step of at most 1, one bound each.
+        clamps = np.empty((2, shift.size), dtype=np.int8)
+        np.maximum(shift, zero, out=clamps[0])
+        np.minimum(shift + top, top, out=clamps[1])
+        clamps[:, first] = np.minimum(
+            np.maximum(init + shift[first], zero), top
+        )
 
         step = 1
         # Prefixes ending before `step` already reach position 0.
-        while step < shift.size and (low[step:] != high[step:]).any():
+        while step < shift.size and (
+            clamps[0, step:] != clamps[1, step:]
+        ).any():
             # Compose prefix[i] (later window, g) after prefix[i-step]
-            # (earlier window, f): clamp_g(clamp_f(s + a_f) + a_g).
-            shift_g, low_g, high_g = shift[step:], low[step:], high[step:]
-            shift_c = np.clip(shift[:-step] + shift_g, -top, top)
-            low_c = np.minimum(
-                high_g, np.maximum(low_g, low[:-step] + shift_g)
-            )
-            high_c = np.minimum(
-                high_g, np.maximum(low_g, high[:-step] + shift_g)
-            )
-            shift[step:] = shift_c
-            low[step:] = low_c
-            high[step:] = high_c
+            # (earlier window, f): clamp_g(clamp_f(s + a_f) + a_g), for
+            # both clamp images of f at once.
+            composed = clamps[:, :-step] + shift[step:]
+            np.maximum(composed, clamps[0, step:], out=composed)
+            np.minimum(composed, clamps[1, step:], out=clamps[:, step:])
+            shift[step:] += shift[:-step]
             step *= 2
 
-        # Every prefix is now constant: `low` is the state after each
-        # scanned step, and holds until the next one.
-        state_before = np.empty(self.n, dtype=np.int8)
-        if dense:
-            state_before[1:] = low[:-1]
-        else:
-            state_before[1:] = np.repeat(
-                low, np.diff(scanned, append=self.n - 1)
+        # Every prefix is now constant: its low image is the state after
+        # each scanned step, which the next scanned access of its group
+        # starts from.
+        before = np.empty_like(shift)
+        before[1:] = clamps[0, :-1]
+        before[first] = init
+        return scanned, before
+
+    def counter_states(
+        self, steps: np.ndarray, init: int = _INIT_STATE
+    ) -> np.ndarray:
+        """Exact per-access saturating-counter states for one table.
+
+        ``steps`` (n,) are the updates in stream order (see :meth:`scan`);
+        returns each access's int8 state *before* its access, in stream
+        order.
+        """
+        sorted_steps = steps[self.order]
+        scanned, before = self.scan(sorted_steps, init)
+        if scanned is not None:
+            # An access the scan skipped sees the state after the last
+            # scanned step before it.
+            after = np.minimum(
+                np.maximum(before + sorted_steps[scanned], np.int8(0)),
+                np.int8(_MAX_STATE),
             )
-        state_before[self.new_group] = init
-
+            before = np.empty(self.n, dtype=np.int8)
+            before[1:] = np.repeat(after, np.diff(scanned, append=self.n - 1))
+            before[self.starts] = init
         out = np.empty(self.n, dtype=np.int8)
-        out[self.order] = state_before
+        out[self.order] = before
         return out
-
-
-def _grouped_counter_states(
-    keys: np.ndarray, steps: np.ndarray, init: int = _INIT_STATE
-) -> np.ndarray:
-    """One-shot :meth:`_KeyGroups.counter_states` for a fresh key array."""
-    return _KeyGroups(keys).counter_states(steps, init)
 
 
 def _taken_steps(taken: np.ndarray) -> np.ndarray:
@@ -433,10 +468,12 @@ def _taken_steps(taken: np.ndarray) -> np.ndarray:
     return taken.view(np.int8) * 2 - 1
 
 
-def _counter_predictions(keys: np.ndarray, taken: np.ndarray) -> np.ndarray:
-    """Predicted directions of a table of 2-bit counters keyed by ``keys``
-    and trained up/down by ``taken``."""
-    return _grouped_counter_states(keys, _taken_steps(taken)) >= 2
+def _mispredicted(groups: _KeyGroups, sorted_steps: np.ndarray) -> np.ndarray:
+    """Whether an always-training table mispredicts each access, in
+    sorted order: its state before the access (weakly taken or above
+    predicts taken) against the outcome, which is its step's sign."""
+    _, before = groups.scan(sorted_steps)
+    return (before >= 2) != (sorted_steps > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -444,95 +481,141 @@ def _counter_predictions(keys: np.ndarray, taken: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _global_history(taken: np.ndarray, history_mask: int) -> np.ndarray:
-    """The global-history register value before each access."""
+    """The global-history register value before each access, at the
+    narrowest unsigned width ``history_mask`` needs."""
     n = int(taken.shape[0])
-    history = np.zeros(n, dtype=np.int64)
-    bits = taken.astype(np.int64)
-    history_bits = int(history_mask).bit_length()
-    for age in range(1, history_bits + 1):
-        if age >= n + 1:
-            break
+    width = np.min_scalar_type(history_mask)
+    history = np.zeros(n, dtype=width)
+    bits = taken.astype(width)
+    for age in range(1, min(int(history_mask).bit_length(), n) + 1):
         # Bit (age-1) of the register is the outcome `age` accesses ago.
         history[age:] |= bits[:-age] << (age - 1)
-    return history & history_mask
+    return history
 
 
 def _gshare_indices(
     sites: np.ndarray, taken: np.ndarray, mask: int, history_mask: int
 ) -> np.ndarray:
-    """Exact gshare table indices (site spread XOR global history)."""
-    spread = (sites * np.int64(0x9E3779B1)) & mask
-    return (spread ^ _global_history(taken, history_mask)) & mask
+    """Exact gshare table indices (site spread XOR global history), at
+    the narrowest unsigned width ``mask`` needs: the masked product's
+    bits depend only on that many low bits of the site and multiplier."""
+    width = np.min_scalar_type(mask)
+    multiplier = width.type(0x9E3779B1 & np.iinfo(width).max)
+    spread = sites.astype(width) * multiplier
+    return (spread ^ _global_history(taken, history_mask)) & width.type(mask)
 
 
 def _two_level_indices(
     sites: np.ndarray, taken: np.ndarray, site_mask: int, history_mask: int
 ) -> np.ndarray:
-    """Exact two-level pattern-table indices (per-site local history)."""
+    """Exact two-level pattern-table indices (per-site local history):
+    the global history of the site-sorted outcomes, in which the k-th
+    access of a site keeps only its k newest bits."""
     groups = _KeyGroups(sites & site_mask)
-    bits = taken[groups.order].astype(np.int64)
-    segment = np.cumsum(groups.new_group)
-
-    history = np.zeros(groups.n, dtype=np.int64)
-    history_bits = int(history_mask).bit_length()
-    for age in range(1, history_bits + 1):
-        if age >= groups.n + 1:
-            break
-        same = segment[age:] == segment[:-age]
-        shifted = bits[:-age] << (age - 1)
-        history[age:][same] |= shifted[same]
-    history &= history_mask
-
-    out = np.empty(groups.n, dtype=np.int64)
+    history = _global_history(taken[groups.order], history_mask)
+    ends = np.append(groups.starts[1:], groups.n)
+    for k in range(min(int(history_mask).bit_length(), groups.n)):
+        at = groups.starts + k
+        at = at[at < ends]
+        history[at] &= (1 << k) - 1
+    out = np.empty_like(history)
     out[groups.order] = history
     return out
 
 
-def _conditional_predictions(
-    predictor_name: str, sites: np.ndarray, taken: np.ndarray
-) -> np.ndarray:
-    """Predicted direction for every conditional, per predictor family.
-
-    Table geometries come from a throwaway instance of the scalar
-    predictor so both engines always share one source of defaults.
-    """
+@lru_cache(maxsize=None)
+def _table_geometry(predictor_name: str) -> Tuple[int, ...]:
+    """A family's table masks, read once from the scalar predictor's
+    defaults so both engines share one source: bimodal ``(mask,)``,
+    gshare ``(mask, history_mask)``, two-level ``(site_mask,
+    history_mask)``, tournament ``(bimodal mask, gshare mask, gshare
+    history_mask)`` (the chooser shares the bimodal table's mask)."""
     proto = make_predictor(predictor_name)
     if predictor_name == "static":
-        return np.ones(sites.shape[0], dtype=bool)
+        return ()
     if predictor_name == "bimodal":
-        return _counter_predictions(sites & proto._mask, taken)
+        return (proto._mask,)
     if predictor_name == "gshare":
-        indices = _gshare_indices(
-            sites, taken, proto._mask, proto._history_mask
-        )
-        return _counter_predictions(indices, taken)
+        return (proto._mask, proto._history_mask)
     if predictor_name == "two_level":
-        indices = _two_level_indices(
-            sites, taken, proto._site_mask, proto._history_mask
-        )
-        return _counter_predictions(indices, taken)
+        return (proto._site_mask, proto._history_mask)
     if predictor_name == "tournament":
-        # The bimodal table and the chooser share one index stream
-        # (site & mask with equal masks) — group once, scan twice.  Both
-        # counter tables train on the same steps.
-        site_groups = _KeyGroups(sites & proto._bimodal._mask)
-        taken_steps = _taken_steps(taken)
-        bimodal = site_groups.counter_states(taken_steps) >= 2
-        gshare = _grouped_counter_states(
-            _gshare_indices(
-                sites, taken, proto._gshare._mask, proto._gshare._history_mask
-            ),
-            taken_steps,
-        ) >= 2
-        bimodal_correct = bimodal == taken
-        gshare_correct = gshare == taken
-        # Chooser: 2-bit counter per site, trained only on disagreement:
-        # +1 when only gshare was right, -1 when only bimodal was.
-        steps = gshare_correct.view(np.int8) - bimodal_correct.view(np.int8)
-        chooser = site_groups.counter_states(steps)
-        return np.where(chooser >= 2, gshare, bimodal)
+        return (proto._bimodal._mask, proto._gshare._mask,
+                proto._gshare._history_mask)
     raise SimulationError(
         "vector engine has no model for predictor %r" % predictor_name
+    )
+
+
+def _window_mispredicts(
+    predictor_name: str, sites: np.ndarray, taken: np.ndarray, warmup: int
+) -> int:
+    """Mispredicted conditionals past the first ``warmup``, per family.
+
+    Each table's states are read in the order its scan leaves them
+    (sorted by index), where an access's outcome is its step's sign and
+    it is in the window when its stream position ``order >= warmup``:
+    no per-branch prediction is built.
+    """
+    geometry = _table_geometry(predictor_name)
+    if predictor_name == "static":  # always predicts taken
+        return int(taken.shape[0]) - warmup - int(
+            np.count_nonzero(taken[warmup:])
+        )
+    steps = _taken_steps(taken)
+    if predictor_name == "tournament":
+        return _tournament_mispredicts(sites, taken, steps, warmup, *geometry)
+    if predictor_name == "bimodal":
+        keys = sites & geometry[0]
+    elif predictor_name == "gshare":
+        keys = _gshare_indices(sites, taken, *geometry)
+    else:
+        keys = _two_level_indices(sites, taken, *geometry)
+    groups = _KeyGroups(keys)
+    wrong = _mispredicted(groups, steps[groups.order])
+    wrong &= groups.order >= warmup
+    return int(np.count_nonzero(wrong))
+
+
+def _tournament_mispredicts(
+    sites, taken, steps, warmup, mask, gshare_mask, history_mask
+) -> int:
+    """The tournament's window mispredicts, counted in site order.
+
+    Bimodal and gshare disagree exactly where one of them is right, which
+    is exactly where the chooser's step is nonzero; where they agree the
+    tournament predicts their shared direction whatever the chooser
+    holds.  So the mispredicts are the accesses both tables get wrong,
+    plus the disagreements where the chooser picks the wrong table —
+    and the chooser's sparse scan holds its state before each of those.
+    """
+    # The bimodal table and the chooser share one index stream (site &
+    # mask with equal masks): group once, scan twice.
+    site_groups = _KeyGroups(sites & mask)
+    order = site_groups.order
+    site_steps = steps[order]
+    bimodal_wrong = _mispredicted(site_groups, site_steps)
+    # gshare's states, in stream order, read in site order.
+    gshare = _KeyGroups(
+        _gshare_indices(sites, taken, gshare_mask, history_mask)
+    ).counter_states(steps)[order]
+    gshare_wrong = (gshare >= 2) != (site_steps > 0)
+    in_window = order >= warmup
+    both_wrong = bimodal_wrong & gshare_wrong
+    both_wrong &= in_window
+    # Chooser: 2-bit counter per site, trained only on disagreement:
+    # +1 when only gshare was right, -1 when only bimodal was.
+    chooser_steps = bimodal_wrong.view(np.int8) - gshare_wrong.view(np.int8)
+    scanned, chooser = site_groups.scan(chooser_steps)
+    if scanned is not None:
+        chooser_steps = chooser_steps[scanned]
+        in_window = in_window[scanned]
+    # At 2 or above the chooser picks gshare, wrong where only bimodal
+    # was right; below 2 it picks bimodal, wrong where only gshare was.
+    wrong_pick = np.where(chooser >= 2, chooser_steps < 0, chooser_steps > 0)
+    wrong_pick &= in_window
+    return int(np.count_nonzero(both_wrong)) + int(
+        np.count_nonzero(wrong_pick)
     )
 
 
@@ -618,14 +701,12 @@ def execute_vector(
     taken = trace.cond_taken
     n_cond = int(sites.shape[0])
     cond_warmup = _conditional_warmup(n_cond, warmup_fraction)
-    predictions = _conditional_predictions(
-        config.branch_predictor, sites, taken
-    )
-    mispredicted = predictions != taken
     window_conditionals = n_cond - cond_warmup
     predictor = PredictorStats(
         predictions=window_conditionals,
-        mispredictions=int(np.count_nonzero(mispredicted[cond_warmup:])),
+        mispredictions=_window_mispredicts(
+            config.branch_predictor, sites, taken, cond_warmup
+        ),
     )
     if obs.enabled():
         obs.record("engine.vector.branch",

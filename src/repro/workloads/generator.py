@@ -412,11 +412,16 @@ class RegionLayout:
     def runs(self, counts) -> Tuple[np.ndarray, ...]:
         """Each region's addresses for ``counts[r]`` accesses: its lines
         swept cyclically, ``lines[r][arange(counts[r]) % len(lines[r])]``,
-        filled with one ``np.tile`` (docs/methodology.md §2)."""
-        return tuple(
-            _read_only(np.tile(lines, -(-int(count) // lines.size))[:count])
-            for lines, count in zip(self.lines, counts)
-        )
+        one ``(sweeps, L)`` array filled by broadcasting the lines and
+        cut to the count (docs/methodology.md §2)."""
+        runs = []
+        for lines, count in zip(self.lines, counts):
+            count = int(count)
+            sweeps = np.empty((-(-count // lines.size), lines.size),
+                              dtype=np.int64)
+            sweeps[...] = lines
+            runs.append(_read_only(sweeps.reshape(-1)[:count]))
+        return tuple(runs)
 
     def place(self, mem_region: np.ndarray) -> np.ndarray:
         """Byte addresses for a memory-op region stream.
@@ -446,6 +451,13 @@ def draw(
     a stable hash of the pair identity, so repeated calls (and repeated
     test runs) see identical draws.
     """
+    derived, values = _draws(profile, n_ops, seed)
+    return SyntheticTrace._seeded(derived, region_addrs=(), **values)
+
+
+def _draws(profile: WorkloadProfile, n_ops: int, seed):
+    """:func:`draw`'s values: the derived values it hands over, and every
+    trace field but ``region_addrs``."""
     if n_ops <= 0:
         raise SimulationError("n_ops must be positive")
     if seed is None:
@@ -539,11 +551,13 @@ def draw(
         n_cond = n_branches - at_least[1]
         if n_cond:
             hard_mask = rng.random(n_cond) < knobs.hard_fraction
+            # int32 draws take the same values as int64 ones.
             cond_site = np.where(
                 hard_mask,
-                N_EASY_SITES + rng.integers(0, N_HARD_SITES, n_cond),
-                rng.integers(0, N_EASY_SITES, n_cond),
-            ).astype(np.int32)
+                N_EASY_SITES + rng.integers(0, N_HARD_SITES, n_cond,
+                                            dtype=np.int32),
+                rng.integers(0, N_EASY_SITES, n_cond, dtype=np.int32),
+            )
             base_direction = (cond_site & 1).astype(bool)
             # One batched draw for both outcome streams.  PCG64 fills
             # C-order, so row 0 is exactly the flip draw and row 1 the
@@ -556,16 +570,16 @@ def draw(
 
     # Hand over the counts and store flags computed on the way, under the
     # names (and with the types) of their definitions.
-    return SyntheticTrace._seeded(
-        dict(
-            kind_counts=(n_ops - n_mem - n_branches, n_loads, n_stores,
-                         n_branches),
-            _subtype_counts=tuple(
-                count - later for count, later in zip(at_least, at_least[1:])
-            ),
-            mem_is_store=_read_only(mem_is_store),
-            region_store_counts=tuple(codes),
+    derived = dict(
+        kind_counts=(n_ops - n_mem - n_branches, n_loads, n_stores,
+                     n_branches),
+        _subtype_counts=tuple(
+            count - later for count, later in zip(at_least, at_least[1:])
         ),
+        mem_is_store=_read_only(mem_is_store),
+        region_store_counts=tuple(codes),
+    )
+    return derived, dict(
         profile=profile,
         kind=kind,
         mem_region=mem_region,
@@ -573,7 +587,6 @@ def draw(
         branch_subtype=subtype,
         cond_site=cond_site,
         cond_taken=cond_taken,
-        region_addrs=(),
         pages_per_touch=pages_per_touch,
         regions=regions,
         knobs=knobs,
@@ -595,19 +608,31 @@ class TraceGenerator:
         seed: int = None,
     ) -> SyntheticTrace:
         """Generate a trace of ``n_ops`` micro-ops for ``profile``: the
-        config-free :func:`draw`, placed on this config's layout.
+        config-free :func:`draw`, placed on this config's layout, built
+        as one trace (the trace ``place(draw(...))`` returns).
 
         The RNG seed defaults to a stable hash of the pair identity, so
         repeated calls (and repeated test runs) see identical traces.
         """
-        return self.place(draw(profile, n_ops, seed))
+        derived, values = _draws(profile, n_ops, seed)
+        return SyntheticTrace._seeded(
+            derived,
+            region_addrs=self._runs(derived["region_store_counts"]),
+            **values,
+        )
 
     def place(self, trace: SyntheticTrace) -> SyntheticTrace:
         """``trace``'s draws with this layout's addresses: each region's
         lines tiled to that region's access count (:meth:`RegionLayout.
         runs`).  Only the address runs depend on the config."""
-        codes = trace.region_store_counts
-        return trace._with_region_addrs(self.layout.runs(
+        return trace._with_region_addrs(
+            self._runs(trace.region_store_counts)
+        )
+
+    def _runs(self, codes) -> Tuple[np.ndarray, ...]:
+        """This layout's address runs for the (region, is-store) counts
+        ``codes``."""
+        return self.layout.runs(
             [codes[2 * region] + codes[2 * region + 1]
              for region in range(N_REGIONS)]
-        ))
+        )

@@ -23,6 +23,7 @@ from repro.errors import ConfigError, SimulationError
 from repro.perf.session import PerfSession
 from repro.phases.generator import PhasedTraceGenerator, slice_trace
 from repro.phases.workload import PhasedWorkload, Schedule, make_phases
+from repro.uarch.branch import TournamentPredictor, make_predictor
 from repro.uarch.cache import Cache
 from repro.uarch.core import ENGINES, SimulatedCore
 from repro.uarch import vector
@@ -472,6 +473,15 @@ def sweep_streams(draw):
 @example(stream=[1, 2, 3, 1, 2, 3, 1, 3, 2, 1, 2, 3])
 @example(stream=[])
 @example(stream=[7])
+# Periods past the bounded prefix the first non-increase is looked for
+# in, so the whole run is searched: three sweeps of 200 lines, a period
+# one past the prefix, a strictly increasing run with no drop at all,
+# and a first drop past the prefix that breaks the sweep.
+@example(stream=list(range(0, 2_000, 10)) * 3)
+@example(stream=list(range(vector._PERIOD_PREFIX + 1)) * 2)
+@example(stream=list(range(vector._PERIOD_PREFIX)) * 2 + [0])
+@example(stream=list(range(500)))
+@example(stream=list(range(300)) + [5, 6])
 def test_sweep_check_matches_the_unique_definition(stream):
     stream = np.asarray(stream, dtype=np.int64)
     expected = unique_sweep_lines(stream)
@@ -533,3 +543,100 @@ def test_counter_scan_matches_a_sequential_replay(stream):
     groups = vector._KeyGroups(np.asarray(keys, dtype=np.int64))
     states = groups.counter_states(np.asarray(steps, dtype=np.int32), init)
     assert states.tolist() == replay_counters(keys, steps, init)
+
+
+#: Every predictor family the engines model.
+FAMILIES = ("static", "bimodal", "gshare", "two_level", "tournament")
+
+
+def replay_window_mispredicts(name, sites, taken, warmup):
+    """The scalar engine's count: a sequential replay of the predictor,
+    whose statistics restart at the ``warmup``-th conditional."""
+    predictor = make_predictor(name)
+    for position, (site, outcome) in enumerate(zip(sites, taken)):
+        if position == warmup:
+            predictor.reset_stats()
+        predictor.access(site, outcome)
+    return predictor.stats.mispredictions
+
+
+def disagreeing_stream(pool, n, rng):
+    """A stream that makes the tournament's bimodal and gshare tables
+    disagree wherever a site of ``pool`` lets them (on most accesses):
+    it takes the first such site with a drawn outcome, and otherwise a
+    drawn site whose shared prediction proves wrong."""
+    predictor = TournamentPredictor()
+    sites, taken = [], []
+    for _ in range(n):
+        site = next((site for site in pool
+                     if predictor._bimodal.predict(site)
+                     != predictor._gshare.predict(site)), None)
+        if site is None:
+            site = pool[int(rng.integers(len(pool)))]
+            outcome = not predictor._bimodal.predict(site)
+        else:
+            outcome = bool(rng.integers(2))
+        predictor.access(site, outcome)
+        sites.append(site)
+        taken.append(outcome)
+    return np.asarray(sites, dtype=np.int32), np.asarray(taken, dtype=bool)
+
+
+def drawn_stream(pool, n, bias, rng):
+    """``n`` conditionals over ``pool``'s sites, taken with ``bias``."""
+    sites = np.asarray(pool, dtype=np.int32)[rng.integers(0, len(pool), n)]
+    return sites, rng.random(n) < bias
+
+
+#: Sites that fold onto shared table entries: for each gshare spread 0
+#: to 15 (which the 4-bit history folds onto 16 entries), a site, a site
+#: 4,096 above it (every table aliases the two) and one 1,024 above it
+#: (only the two-level table's 1,024 site slots alias those).
+ALIASING_SITES = [
+    spread * pow(0x9E3779B1, -1, 4096) % 4096 + offset
+    for spread in range(16) for offset in (0, 1024, 4096)
+]
+
+
+@st.composite
+def branch_streams(draw):
+    """Conditional streams: drawn ones, all-taken ones (bimodal and
+    gshare never disagree) and disagreeing ones, on site pools anywhere
+    in int32 or from :data:`ALIASING_SITES`, from empty to past the
+    4,096 conditionals below which the warmup is half."""
+    shape = draw(st.sampled_from(["drawn", "all taken", "disagreeing"]))
+    event(shape)
+    pool = draw(st.lists(
+        st.one_of(st.integers(-2**31, 2**31 - 1),
+                  st.sampled_from(ALIASING_SITES)),
+        min_size=1, max_size=16, unique=True,
+    ))
+    n = draw(st.integers(0, 1_500 if shape == "disagreeing" else 6_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "disagreeing":
+        return disagreeing_stream(pool, n, rng)
+    bias = 1.0 if shape == "all taken" else draw(st.floats(0.0, 1.0))
+    return drawn_stream(pool, n, bias, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream=branch_streams())
+@example(stream=drawn_stream([5], 0, 0.5, np.random.default_rng(0)))
+@example(stream=drawn_stream([5], 3_000, 0.5, np.random.default_rng(1)))
+@example(stream=drawn_stream(list(range(8)), 5_000, 1.0,
+                             np.random.default_rng(2)))
+@example(stream=disagreeing_stream(list(range(16)), 1_200,
+                                   np.random.default_rng(3)))
+@example(stream=drawn_stream(ALIASING_SITES, 5_000, 0.7,
+                             np.random.default_rng(4)))
+def test_window_count_matches_a_scalar_replay(stream):
+    sites, taken = stream
+    warmup = vector._conditional_warmup(sites.size, 0.15)
+    if sites.size < 4_096:
+        assert warmup == sites.size // 2
+    for name in FAMILIES:
+        assert vector._window_mispredicts(name, sites, taken, warmup) == (
+            replay_window_mispredicts(
+                name, sites.tolist(), taken.tolist(), warmup
+            )
+        ), name
